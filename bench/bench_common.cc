@@ -7,7 +7,6 @@
 #include "common/env.h"
 #include "common/logging.h"
 #include "common/stats.h"
-#include "costmodel/delta_eval.h"
 #include "graph/generators.h"
 #include "hwsim/hardware_sim.h"
 #include "partition/heuristics.h"
@@ -130,19 +129,14 @@ void InitBenchRuntime(int argc, char** argv) {
     } else if (std::string(argv[i]) == "--eval-cache" && i + 1 < argc) {
       SetDefaultEvalCacheCapacity(std::stoi(argv[i + 1]));
       ++i;
-    } else if (std::string(argv[i]) == "--delta-eval" && i + 1 < argc) {
-      SetDefaultDeltaEvalEnabled(std::stoi(argv[i + 1]));
-      ++i;
     }
   }
   std::printf("# runtime: %d worker threads (override with --threads N or "
               "MCMPART_THREADS), %d NN kernel threads (--nn-threads N or "
               "MCMPART_NN_THREADS; 0 inherits --threads), eval cache %d "
-              "entries (--eval-cache N or MCMPART_EVAL_CACHE; 0 disables), "
-              "delta eval %s (--delta-eval 0|1 or MCMPART_DELTA_EVAL)\n",
+              "entries (--eval-cache N or MCMPART_EVAL_CACHE; 0 disables)\n",
               DefaultThreadCount(), NnThreadCount(),
-              DefaultEvalCacheCapacity(),
-              DefaultDeltaEvalEnabled() ? "on" : "off");
+              DefaultEvalCacheCapacity());
 }
 
 telemetry::RunReport MakeBenchReport(std::string_view name) {

@@ -2,17 +2,18 @@
 // partition evaluator (costmodel/delta_eval.h).
 //
 // Beyond the usual google-benchmark timings this binary measures two gate
-// metrics directly (stopwatch over fixed candidate sets, so they are ratios
-// of comparable work on the same machine) and records them under "gate/" in
+// metrics directly (stopwatch over fixed work, so they are ratios of
+// comparable work on the same machine) and records them under "gate/" in
 // BENCH_micro_delta.json, where scripts/bench_compare.py --gate trips on
 // regressions:
 //
 //   gate/delta_over_full_ratio     delta single-move re-score time over a
 //                                  full Evaluate on BERT at 36 chips
 //                                  (acceptance: <= 0.2, i.e. >= 5x faster)
-//   gate/sa_delta_over_full_ratio  SA sweep wall time with --delta-eval 1
-//                                  over the same sweep with 0
-//   gate/hc_delta_over_full_ratio  the HillClimb equivalent
+//   gate/hc_delta_over_full_ratio  HillClimb sweep wall time on BERT with an
+//                                  analytical env (moves scored from the
+//                                  evaluator) over the same sweep with a
+//                                  forwarding model (full evaluations)
 //
 // Every comparison also asserts bit-identical results between the two
 // paths, so the gate doubles as an end-to-end identity check at full scale.
@@ -20,7 +21,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -145,24 +145,6 @@ void BM_DeltaRebase(benchmark::State& state) {
 }
 BENCHMARK(BM_DeltaRebase)->Unit(benchmark::kMicrosecond);
 
-void BM_DeltaScorerSmallDiff(benchmark::State& state) {
-  const Prepared& prepared = BertCase();
-  AnalyticalCostModel model{McmConfig{}};
-  DeltaScorer scorer(&model, &model);
-  Partition candidate = prepared.partition;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const auto [node, chip] = prepared.valid_moves[i];
-    i = (i + 1) % prepared.valid_moves.size();
-    const int prev = candidate.chip(node);
-    candidate.assignment[static_cast<std::size_t>(node)] = chip;
-    benchmark::DoNotOptimize(
-        scorer.Evaluate(prepared.graph, candidate).runtime_s);
-    candidate.assignment[static_cast<std::size_t>(node)] = prev;
-  }
-}
-BENCHMARK(BM_DeltaScorerSmallDiff)->Unit(benchmark::kMicrosecond);
-
 // --- Gate measurements -----------------------------------------------------
 
 // Times `reps` passes over the valid single-move candidates on both paths,
@@ -227,52 +209,66 @@ double MeasureSingleMoveRatio(telemetry::RunReport& report) {
   return ratio;
 }
 
-// Runs `make_search()` twice on a corpus graph -- delta eval forced on and
-// forced off -- asserting identical traces and incumbents, and records
-// on/off wall times under the given phase/metric names.
-template <typename MakeSearch>
-void MeasureSweepRatio(telemetry::RunReport& report, const Graph& graph,
-                       const char* label, const char* metric,
-                       MakeSearch make_search, int budget) {
-  AnalyticalCostModel model{McmConfig{}};
+// Evaluates exactly like the AnalyticalCostModel it wraps without being
+// one, so an env over it scores every partition by full evaluation.
+class ForwardingModel final : public CostModel {
+ public:
+  explicit ForwardingModel(AnalyticalCostModel& inner) : inner_(&inner) {}
+  EvalResult Evaluate(const Graph& graph,
+                      const Partition& partition) override {
+    return inner_->Evaluate(graph, partition);
+  }
+  std::string name() const override { return inner_->name(); }
+
+ private:
+  AnalyticalCostModel* inner_;
+};
+
+// Runs the same HillClimb sweep on an analytical env and on a forwarding
+// env, asserting identical traces and incumbents, and records the wall
+// times and their ratio.
+void MeasureHillClimbRatio(telemetry::RunReport& report, const Graph& graph,
+                           int budget) {
+  AnalyticalCostModel analytical{McmConfig{}};
+  ForwardingModel forwarding(analytical);
   CpSolver baseline_solver(graph, kChips);
   Rng baseline_rng(7);
   const BaselineResult baseline = ComputeHeuristicBaseline(
-      graph, model, baseline_solver, baseline_rng);
+      graph, analytical, baseline_solver, baseline_rng);
   MCM_CHECK(baseline.eval.valid);
 
+  CostModel* models[2] = {&forwarding, &analytical};
   SearchTrace traces[2];
   double elapsed[2] = {0.0, 0.0};
   Partition bests[2];
   double best_rewards[2] = {0.0, 0.0};
-  for (int delta_on = 0; delta_on < 2; ++delta_on) {
+  for (int i = 0; i < 2; ++i) {
     GraphContext context(graph, kChips);
-    PartitionEnv env(graph, model, baseline.eval.runtime_s,
+    PartitionEnv env(graph, *models[i], baseline.eval.runtime_s,
                      PartitionEnv::Objective::kThroughput,
-                     /*eval_cache_capacity=*/0, /*fallback_model=*/nullptr,
-                     /*retry_policy=*/nullptr, /*delta_eval=*/delta_on);
-    auto search = make_search();
+                     /*eval_cache_capacity=*/0);
+    HillClimbSearch search{Rng(9)};
     const double start = telemetry::MonotonicSeconds();
-    traces[delta_on] = search->Run(context, env, budget);
-    elapsed[delta_on] = telemetry::MonotonicSeconds() - start;
+    traces[i] = search.Run(context, env, budget);
+    elapsed[i] = telemetry::MonotonicSeconds() - start;
     if (env.has_best()) {
-      bests[delta_on] = env.best_partition();
-      best_rewards[delta_on] = env.best_reward();
+      bests[i] = env.best_partition();
+      best_rewards[i] = env.best_reward();
     }
   }
-  MCM_CHECK(traces[0].rewards == traces[1].rewards) << label;
-  MCM_CHECK(best_rewards[0] == best_rewards[1]) << label;
-  MCM_CHECK(bests[0].assignment == bests[1].assignment) << label;
+  MCM_CHECK(traces[0].rewards == traces[1].rewards);
+  MCM_CHECK(best_rewards[0] == best_rewards[1]);
+  MCM_CHECK(bests[0].assignment == bests[1].assignment);
 
-  // Clamp the denominator so a freakishly fast off-run cannot turn the
+  // Clamp the denominator so a freakishly fast full run cannot turn the
   // gate metric into inf/NaN.
   const double ratio = elapsed[1] / std::max(elapsed[0], 1e-6);
-  report.AddPhaseSeconds(std::string(label) + "_delta_off", elapsed[0]);
-  report.AddPhaseSeconds(std::string(label) + "_delta_on", elapsed[1]);
-  report.SetValue(metric, ratio);
-  std::printf("# gate: %s sweep on %s (budget %d): off %.3f s, on %.3f s "
-              "(identical traces and best partitions)\n",
-              label, graph.name().c_str(), budget, elapsed[0], elapsed[1]);
+  report.AddPhaseSeconds("hc_full", elapsed[0]);
+  report.AddPhaseSeconds("hc_delta", elapsed[1]);
+  report.SetValue("gate/hc_delta_over_full_ratio", ratio);
+  std::printf("# gate: hc sweep on %s (budget %d): full %.3f s, delta "
+              "%.3f s (identical traces and best partitions)\n",
+              graph.name().c_str(), budget, elapsed[0], elapsed[1]);
 }
 
 int RunMicroDelta(int argc, char** argv) {
@@ -285,23 +281,9 @@ int RunMicroDelta(int argc, char** argv) {
     benchmark::RunSpecifiedBenchmarks(&reporter);
   }
   MeasureSingleMoveRatio(report);
-  // SA anneals the solver's probability distribution, so its per-sample cost
-  // is dominated by SAMPLE solves on small graphs -- the corpus graph keeps
-  // this sweep honest about end-to-end (not just scoring) wall time.
-  static const Graph* corpus_graph = [] {
-    auto* corpus = new std::vector<Graph>(MakeCorpus());
-    return &(*corpus)[30];
-  }();
-  MeasureSweepRatio(report, *corpus_graph, "sa",
-                    "gate/sa_delta_over_full_ratio",
-                    [] { return std::make_unique<SimulatedAnnealing>(Rng(9)); },
-                    /*budget=*/120);
   // HillClimb re-scores single-node moves, the delta evaluator's home turf:
   // BERT at 36 chips makes the full-walk cost visible.
-  MeasureSweepRatio(report, BertCase().graph, "hc",
-                    "gate/hc_delta_over_full_ratio",
-                    [] { return std::make_unique<HillClimbSearch>(Rng(9)); },
-                    /*budget=*/4000);
+  MeasureHillClimbRatio(report, BertCase().graph, /*budget=*/4000);
   bench::WriteBenchReport(report);
   return 0;
 }

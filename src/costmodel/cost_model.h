@@ -19,8 +19,6 @@
 
 namespace mcm {
 
-class AnalyticalCostModel;
-
 // Why an evaluation failed (mirrors the paper's invalid-sample taxonomy,
 // plus the transient platform failures a real measurement harness sees).
 enum class EvalFailure {
@@ -75,6 +73,8 @@ struct McmConfig {
   double link_latency_s = 1e-6;        // Per-transfer fixed overhead.
   // Fraction of peak compute reachable by low-arithmetic-intensity ops.
   double effective_utilization = 0.6;
+
+  bool operator==(const McmConfig&) const = default;
 };
 
 // Abstract evaluator of (graph, partition) -> throughput.
@@ -97,15 +97,6 @@ class CostModel {
                               const Partition& partition) = 0;
 
   virtual std::string name() const = 0;
-
-  // The analytical core of this model, when evaluating through it is
-  // equivalent to evaluating through the model itself -- the hook the
-  // incremental evaluator (costmodel/delta_eval.h) uses to decide whether
-  // its fast path is available.  Models whose results can diverge from a
-  // plain analytical evaluation (hwsim, and any wrapper around it) return
-  // nullptr; wrappers that only add retry behavior forward to the wrapped
-  // model.
-  virtual const AnalyticalCostModel* AsAnalytical() const { return nullptr; }
 };
 
 // The paper's analytical model: latency(chip) = compute time of its nodes
@@ -117,7 +108,6 @@ class AnalyticalCostModel final : public CostModel {
 
   EvalResult Evaluate(const Graph& graph, const Partition& partition) override;
   std::string name() const override { return "analytical"; }
-  const AnalyticalCostModel* AsAnalytical() const override { return this; }
 
   const McmConfig& config() const { return config_; }
 

@@ -1,47 +1,15 @@
 #include "costmodel/delta_eval.h"
 
 #include <algorithm>
-#include <atomic>
 
-#include "common/env.h"
 #include "common/logging.h"
-#include "telemetry/metrics.h"
 
 namespace mcm {
 namespace {
 
-std::atomic<int>& DeltaEvalOverride() {
-  static std::atomic<int> override_enabled{-1};
-  return override_enabled;
-}
-
 inline std::size_t Idx(int i) { return static_cast<std::size_t>(i); }
 
 }  // namespace
-
-bool DefaultDeltaEvalEnabled() {
-  const int override_enabled =
-      DeltaEvalOverride().load(std::memory_order_relaxed);
-  if (override_enabled >= 0) return override_enabled != 0;
-  return GetEnvInt("MCMPART_DELTA_EVAL", 1, 0, 1) != 0;
-}
-
-void SetDefaultDeltaEvalEnabled(int enabled) {
-  DeltaEvalOverride().store(enabled < 0 ? -1 : (enabled != 0 ? 1 : 0),
-                            std::memory_order_relaxed);
-}
-
-double DeltaEvalFastFraction() {
-  const double fast = static_cast<double>(
-      telemetry::Counter::Get("costmodel/delta_fast").Value());
-  const double total =
-      fast +
-      static_cast<double>(
-          telemetry::Counter::Get("costmodel/delta_fallback").Value()) +
-      static_cast<double>(
-          telemetry::Counter::Get("costmodel/delta_rebuild").Value());
-  return total > 0.0 ? fast / total : 0.0;
-}
 
 DeltaEvaluator::DeltaEvaluator(const Graph& graph, McmConfig config)
     : graph_(&graph), config_(config) {}
@@ -241,152 +209,6 @@ EvalResult DeltaEvaluator::Score() const {
     total_stage += compute_s + comm_s;
   }
   return EvalResult::Valid(max_stage, total_stage);
-}
-
-int DeltaEvaluator::FirstChipOverMemory(double limit_bytes) const {
-  MCM_CHECK(bound()) << "FirstChipOverMemory before Rebase";
-  for (int c = 0; c < partition_.num_chips; ++c) {
-    if (loads_[Idx(c)].param_bytes > limit_bytes) return c;
-  }
-  return -1;
-}
-
-DeltaScorer::DeltaScorer(CostModel* slow, const AnalyticalCostModel* fast,
-                         int max_moves)
-    : slow_(slow), fast_(fast), max_moves_(max_moves) {
-  MCM_CHECK(slow_ != nullptr);
-}
-
-EvalResult DeltaScorer::Evaluate(const Graph& graph,
-                                 const Partition& partition) {
-  static telemetry::Counter& fast_counter =
-      telemetry::Counter::Get("costmodel/delta_fast");
-  static telemetry::Counter& fallback_counter =
-      telemetry::Counter::Get("costmodel/delta_fallback");
-  static telemetry::Counter& rebuild_counter =
-      telemetry::Counter::Get("costmodel/delta_rebuild");
-
-  // Everything the incremental path cannot represent goes to the slow
-  // model: no analytical core, or a partition the evaluator cannot bind
-  // (incomplete, chip count out of bitset range).  The slow model also
-  // defines the failure taxonomy for these cases, e.g. kIncomplete-style
-  // static rejections.
-  if (fast_ == nullptr || partition.num_chips < 1 ||
-      partition.num_chips > kMaxChips ||
-      static_cast<int>(partition.assignment.size()) != graph.NumNodes() ||
-      !partition.Complete()) {
-    ++fallback_evals_;
-    fallback_counter.Add();
-    return slow_->Evaluate(graph, partition);
-  }
-
-  const int limit =
-      max_moves_ > 0 ? max_moves_ : std::max(4, partition.num_chips / 2);
-  const bool bound_current = evaluator_ != nullptr &&
-                             bound_graph_ == &graph &&
-                             bound_uid_ == graph.uid() &&
-                             evaluator_->partition().num_chips ==
-                                 partition.num_chips;
-  if (bound_current) {
-    // Diff against the base; small diffs take the incremental path.
-    moved_scratch_.clear();
-    const auto& base = evaluator_->partition().assignment;
-    for (int u = 0; u < graph.NumNodes(); ++u) {
-      if (base[Idx(u)] != partition.assignment[Idx(u)]) {
-        moved_scratch_.push_back(u);
-        if (static_cast<int>(moved_scratch_.size()) > limit) break;
-      }
-    }
-    if (static_cast<int>(moved_scratch_.size()) <= limit) {
-      // Canonical re-summing makes the end state path-independent, so
-      // applying the diff in node-id order lands on the same bits as a
-      // fresh Rebase(partition).
-      for (const int u : moved_scratch_) {
-        evaluator_->Apply(u, partition.assignment[Idx(u)]);
-      }
-      evaluator_->CommitBase();
-      ++fast_evals_;
-      fast_counter.Add();
-      return evaluator_->Score();
-    }
-  }
-
-  // Far from the base (or not bound yet).  A Rebase here costs a full walk
-  // *plus* the aggregate bookkeeping, so it only pays off if later requests
-  // stay near this partition.  Local search does exactly that after a jump
-  // -- recognizable because the request is near the *previous* far
-  // candidate -- while sampling workloads (SA over solver resamples, RL
-  // rollouts) jump on every request, where the plain slow evaluation is the
-  // cheapest correct answer.  Either path returns the same bits.
-  bool relock = !bound_current;
-  if (bound_current &&
-      last_far_assignment_.size() == partition.assignment.size()) {
-    int moved = 0;
-    for (std::size_t u = 0; u < partition.assignment.size(); ++u) {
-      if (last_far_assignment_[u] != partition.assignment[u] &&
-          ++moved > limit) {
-        break;
-      }
-    }
-    relock = moved <= limit;
-  }
-  if (!relock) {
-    last_far_assignment_ = partition.assignment;
-    ++fallback_evals_;
-    fallback_counter.Add();
-    return slow_->Evaluate(graph, partition);
-  }
-
-  if (evaluator_ == nullptr || bound_graph_ != &graph ||
-      bound_uid_ != graph.uid()) {
-    evaluator_ = std::make_unique<DeltaEvaluator>(graph, fast_->config());
-    bound_graph_ = &graph;
-    bound_uid_ = graph.uid();
-  }
-  evaluator_->Rebase(partition);
-  last_far_assignment_.clear();
-  ++rebuilds_;
-  rebuild_counter.Add();
-  return evaluator_->Score();
-}
-
-DeltaScorerPool::DeltaScorerPool(CostModel* slow,
-                                 const AnalyticalCostModel* fast)
-    : slow_(slow), fast_(fast) {
-  MCM_CHECK(slow_ != nullptr);
-}
-
-DeltaScorerPool::Lease DeltaScorerPool::Acquire() {
-  std::unique_ptr<DeltaScorer> scorer;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!free_.empty()) {
-      scorer = std::move(free_.back());
-      free_.pop_back();
-    } else {
-      ++created_;
-    }
-  }
-  if (scorer == nullptr) {
-    scorer = std::make_unique<DeltaScorer>(slow_, fast_);
-  }
-  return Lease(this, std::move(scorer));
-}
-
-void DeltaScorerPool::Release(std::unique_ptr<DeltaScorer> scorer) {
-  std::lock_guard<std::mutex> lock(mu_);
-  free_.push_back(std::move(scorer));
-}
-
-int DeltaScorerPool::scorers_created() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return created_;
-}
-
-DeltaScorerPool::Lease::~Lease() {
-  if (pool_ != nullptr && scorer_ != nullptr) {
-    pool_->Release(std::move(scorer_));
-  }
 }
 
 }  // namespace mcm

@@ -1,9 +1,8 @@
 // Incremental (delta) evaluation of the analytical cost model.
 //
-// Mutation-heavy consumers -- simulated annealing and hill-climbing
-// neighborhoods, solver move probing, RL fine-tuning -- re-score partitions
-// that differ from an already-scored incumbent by one or a few node moves,
-// yet a full CostModel::Evaluate walks every node and edge each time.
+// Single-node-move local search re-scores partitions that differ from an
+// already-scored incumbent by one node, yet a full CostModel::Evaluate
+// walks every node and edge each time.
 // DeltaEvaluator materializes per-chip aggregates (compute time inputs,
 // ingress/egress transfer bytes, resident parameter bytes, cut-edge-pair
 // counts) once per base partition and then updates them under
@@ -24,21 +23,14 @@
 // against DeltaEvaluatorReference (the trivially-correct oracle below,
 // mirroring the matrix_reference.cc pattern).
 //
-// DeltaScorer adapts the evaluator to the CostModel interface by diffing
-// each requested partition against its current base; DeltaScorerPool leases
-// one scorer per in-flight evaluation so the stateless-Evaluate threading
-// contract holds.  Models without an analytical core (hwsim, injected-fault
-// wrappers around it) fall back to a full evaluation transparently.
-//
-// Gate: PartitionEnv consults DefaultDeltaEvalEnabled(), which reads
-// MCMPART_DELTA_EVAL (default on) and can be overridden programmatically
-// (the CLI/bench `--delta-eval` flag).  Telemetry counters:
-// costmodel/delta_fast, costmodel/delta_fallback, costmodel/delta_rebuild.
+// Two consumers hold an evaluator as their incumbent and screen each move
+// with StaticallyValid().  HillClimbSearch scores the valid ones through
+// PartitionEnv::Reward(const DeltaEvaluator&), which reads Score() when the
+// env's model is an AnalyticalCostModel with the evaluator's config.
+// ProbeSingleNodeMoves scores them through a caller-supplied callback.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -48,24 +40,10 @@
 
 namespace mcm {
 
-// Default gate resolution: programmatic override (SetDefault...) if set,
-// else MCMPART_DELTA_EVAL (0 or 1), else on.  The gate only selects the
-// evaluation path; results are bit-identical either way.
-bool DefaultDeltaEvalEnabled();
-// Overrides the default: 0 disables, positive enables, negative clears the
-// override (back to env/default resolution).
-void SetDefaultDeltaEvalEnabled(int enabled);
-
-// Fraction of delta-scorer evaluations served by the incremental fast path
-// so far this process: fast / (fast + fallback + rebuild), 0 when no
-// delta-scorer evaluation ran.  Mirrored into per-run RunReports by the
-// serve and pretrain commands, next to the eval-cache counters.
-double DeltaEvalFastFraction();
-
 // Incremental evaluator over one (graph, base partition).  Partitions must
 // be complete (every node assigned a chip in range); callers screen
 // incomplete candidates before binding.  Not thread-safe; use one instance
-// per thread (DeltaScorerPool below handles that for the CostModel path).
+// per thread.
 class DeltaEvaluator {
  public:
   // `graph` must outlive the evaluator and not be mutated while bound.
@@ -88,8 +66,8 @@ class DeltaEvaluator {
   int undo_depth() const { return static_cast<int>(undo_.size()); }
 
   // Makes the current assignment the new base: clears the undo stack
-  // without touching any aggregate.  DeltaScorer commits after every scored
-  // partition so long runs do not grow an unbounded undo history.
+  // without touching any aggregate, so long runs that accept moves do not
+  // grow an unbounded undo history.
   void CommitBase() { undo_.clear(); }
 
   // Static validity (Eq. 2-4) of the current assignment, from maintained
@@ -100,12 +78,7 @@ class DeltaEvaluator {
   // AnalyticalCostModel(config).Evaluate(graph, partition()).
   EvalResult Score() const;
 
-  // First chip whose resident parameter bytes exceed `limit_bytes`, or -1.
-  // Advisory memory bound for callers that want early OOM screening;
-  // Score() deliberately does not consult it -- the analytical model never
-  // enforces the SRAM constraint (only hwsim does).
-  int FirstChipOverMemory(double limit_bytes) const;
-
+  const Graph& graph() const { return *graph_; }
   const Partition& partition() const { return partition_; }
   const ChipLoad& load(int chip) const {
     return loads_[static_cast<std::size_t>(chip)];
@@ -150,7 +123,6 @@ class DeltaEvaluatorReference {
   int undo_depth() const { return static_cast<int>(undo_.size()); }
   bool StaticallyValid() const;
   EvalResult Score() const;
-  int FirstChipOverMemory(double limit_bytes) const;
   const Partition& partition() const { return partition_; }
 
  private:
@@ -158,101 +130,6 @@ class DeltaEvaluatorReference {
   mutable AnalyticalCostModel model_;  // Evaluate is non-const on CostModel.
   Partition partition_;
   std::vector<std::pair<int, int>> undo_;
-};
-
-// CostModel adapter over DeltaEvaluator: diffs each requested partition
-// against the current base and applies the few moved nodes instead of
-// re-walking the graph.  Stateful (it stays rebased at the last scored
-// partition), hence NOT thread-safe -- lease one per in-flight evaluation
-// from a DeltaScorerPool.  `slow` handles everything the fast path cannot
-// (no analytical core, incomplete partitions); results are bit-identical on
-// both paths.  name() forwards to `slow` so memo-cache keys are independent
-// of which path scored an entry.
-//
-// Far candidates (diff larger than the move cap) use an adaptive policy: a
-// Rebase costs a full walk plus aggregate bookkeeping, which only pays off
-// when later requests stay near the new base.  Local search does exactly
-// that after a jump -- detected here because the request lands near the
-// *previous* far candidate, which triggers a re-locking Rebase -- while
-// sampling workloads (SA over solver resamples) jump every time and are
-// served by a plain `slow` evaluation instead.
-class DeltaScorer final : public CostModel {
- public:
-  // Neither pointer is owned.  `fast` may be null (every call falls back).
-  // `max_moves` caps the diff size applied incrementally before a full
-  // Rebase is cheaper; 0 picks max(4, num_chips / 2).
-  DeltaScorer(CostModel* slow, const AnalyticalCostModel* fast,
-              int max_moves = 0);
-
-  EvalResult Evaluate(const Graph& graph, const Partition& partition) override;
-  std::string name() const override { return slow_->name(); }
-
-  // Per-instance path counts (also mirrored into the global
-  // costmodel/delta_* telemetry counters).
-  std::int64_t fast_evals() const { return fast_evals_; }
-  std::int64_t fallback_evals() const { return fallback_evals_; }
-  std::int64_t rebuilds() const { return rebuilds_; }
-
- private:
-  CostModel* const slow_;
-  const AnalyticalCostModel* const fast_;
-  const int max_moves_;
-  const Graph* bound_graph_ = nullptr;
-  std::uint64_t bound_uid_ = 0;
-  std::unique_ptr<DeltaEvaluator> evaluator_;
-  std::vector<int> moved_scratch_;
-  // Assignment of the most recent far candidate served by `slow_`; a new
-  // far candidate near it re-locks the evaluator (see the class comment).
-  std::vector<int> last_far_assignment_;
-  std::int64_t fast_evals_ = 0;
-  std::int64_t fallback_evals_ = 0;
-  std::int64_t rebuilds_ = 0;
-};
-
-// Thread-safe free-list of DeltaScorers over one (slow, fast) model pair.
-// PartitionEnv::Score leases a scorer per evaluation: each scorer serves
-// one thread at a time (preserving the stateless-Evaluate contract) while
-// recycled scorers keep their warm evaluator state across calls.  Sharing a
-// pool across env copies never changes results, only wall time.
-class DeltaScorerPool {
- public:
-  DeltaScorerPool(CostModel* slow, const AnalyticalCostModel* fast);
-
-  class Lease {
-   public:
-    Lease(DeltaScorerPool* pool, std::unique_ptr<DeltaScorer> scorer)
-        : pool_(pool), scorer_(std::move(scorer)) {}
-    ~Lease();
-    Lease(Lease&& other) noexcept
-        : pool_(other.pool_), scorer_(std::move(other.scorer_)) {
-      other.pool_ = nullptr;
-    }
-    Lease& operator=(Lease&&) = delete;
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-
-    DeltaScorer& scorer() { return *scorer_; }
-
-   private:
-    DeltaScorerPool* pool_;
-    std::unique_ptr<DeltaScorer> scorer_;
-  };
-
-  Lease Acquire();
-
-  const AnalyticalCostModel* fast() const { return fast_; }
-  // Scorers created over the pool's lifetime (>= concurrent peak).
-  int scorers_created() const;
-
- private:
-  friend class Lease;
-  void Release(std::unique_ptr<DeltaScorer> scorer);
-
-  CostModel* const slow_;
-  const AnalyticalCostModel* const fast_;
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<DeltaScorer>> free_;
-  int created_ = 0;
 };
 
 }  // namespace mcm

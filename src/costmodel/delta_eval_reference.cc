@@ -47,14 +47,4 @@ EvalResult DeltaEvaluatorReference::Score() const {
   return model_.Evaluate(*graph_, partition_);
 }
 
-int DeltaEvaluatorReference::FirstChipOverMemory(double limit_bytes) const {
-  const auto loads = ComputeChipLoads(*graph_, partition_);
-  for (int c = 0; c < partition_.num_chips; ++c) {
-    if (loads[static_cast<std::size_t>(c)].param_bytes > limit_bytes) {
-      return c;
-    }
-  }
-  return -1;
-}
-
 }  // namespace mcm

@@ -129,14 +129,6 @@ class ResilientCostModel final : public CostModel {
   EvalResult Evaluate(const Graph& graph, const Partition& partition) override;
   std::string name() const override { return "resilient(" + primary_->name() + ")"; }
 
-  // Retry/degradation only reshapes *transient* failures, and an analytical
-  // primary never produces one (faults are injected inside hwsim), so this
-  // wrapper evaluates exactly like its primary whenever the primary is
-  // analytical.
-  const AnalyticalCostModel* AsAnalytical() const override {
-    return primary_->AsAnalytical();
-  }
-
   const RetryPolicy& policy() const { return policy_; }
   CostModel* primary() const { return primary_; }
   CostModel* fallback() const { return fallback_; }

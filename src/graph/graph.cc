@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <ostream>
 #include <queue>
 #include <sstream>
@@ -157,10 +158,13 @@ bool Graph::IsAcyclic() const {
 
 std::string Graph::Validate() const {
   for (const Node& n : nodes_) {
-    if (n.compute_flops < 0.0 || n.output_bytes < 0.0 || n.param_bytes < 0.0) {
-      std::ostringstream os;
-      os << "node " << n.id << " (" << n.name << ") has negative resources";
-      return os.str();
+    for (const double cost : {n.compute_flops, n.output_bytes, n.param_bytes}) {
+      if (!std::isfinite(cost) || cost < 0.0) {
+        std::ostringstream os;
+        os << "node " << n.id << " (" << n.name
+           << ") has a negative or non-finite resource";
+        return os.str();
+      }
     }
   }
   if (!IsAcyclic()) return "graph contains a cycle";

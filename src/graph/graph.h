@@ -50,7 +50,7 @@ inline constexpr int kNumOpTypes = static_cast<int>(OpType::kOutput) + 1;
 std::string_view OpTypeName(OpType op);
 
 // One tensor operation.  Plain data: resource annotations have no invariant
-// beyond non-negativity, which `Graph::Validate` checks.
+// beyond being finite and non-negative, which `Graph::Validate` checks.
 struct Node {
   int id = -1;
   OpType op = OpType::kInput;
@@ -140,7 +140,7 @@ class Graph {
 
   bool IsAcyclic() const;
 
-  // Checks structural sanity: acyclicity, non-negative resources, ids dense.
+  // Checks structural sanity: acyclicity, finite non-negative resources.
   // Returns an empty string when valid, else a description of the problem.
   std::string Validate() const;
 
@@ -150,7 +150,9 @@ class Graph {
   // Line-oriented text serialization (stable across versions; see
   // serialization.cc for the format).
   void Serialize(std::ostream& os) const;
-  static Graph Deserialize(std::istream& is);  // Throws on parse errors.
+  // Throws std::runtime_error on parse errors, self-edges, and graphs that
+  // fail Validate().
+  static Graph Deserialize(std::istream& is);
 
  private:
   std::string name_;

@@ -75,9 +75,13 @@ Graph Graph::Deserialize(std::istream& is) {
     int id = -1, op_int = -1;
     double flops = 0.0, out_bytes = 0.0, param_bytes = 0.0;
     std::string node_name;
-    node_line >> keyword >> id >> op_int >> flops >> out_bytes >> param_bytes >>
-        node_name;
-    if (keyword != "node" || id != i) ParseError("bad node record", line);
+    // A failed numeric read (garbage, or a value out of double range)
+    // leaves the stream failed; reject it rather than keep a clamped value.
+    node_line >> keyword >> id >> op_int >> flops >> out_bytes >> param_bytes;
+    if (!node_line || keyword != "node" || id != i) {
+      ParseError("bad node record", line);
+    }
+    node_line >> node_name;
     if (op_int < 0 || op_int >= kNumOpTypes) ParseError("bad op type", line);
     g.AddNode(static_cast<OpType>(op_int), node_name, flops, out_bytes,
               param_bytes);
@@ -94,15 +98,20 @@ Graph Graph::Deserialize(std::istream& is) {
     std::istringstream edge_line(line);
     int src = -1, dst = -1;
     edge_line >> keyword >> src >> dst;
-    if (keyword != "edge" || src < 0 || dst < 0 || src >= num_nodes ||
-        dst >= num_nodes) {
+    if (!edge_line || keyword != "edge" || src < 0 || dst < 0 ||
+        src >= num_nodes || dst >= num_nodes) {
       ParseError("bad edge record", line);
     }
+    if (src == dst) ParseError("self-edge", line);
     g.AddEdge(src, dst);
   }
 
   if (!NextLine(is, line) || line.rfind("end", 0) != 0) {
     ParseError("missing 'end'", line);
+  }
+  const std::string problem = g.Validate();
+  if (!problem.empty()) {
+    throw std::runtime_error("Graph::Deserialize: " + problem);
   }
   return g;
 }

@@ -50,12 +50,13 @@ BaselineResult ComputeHeuristicBaseline(const Graph& graph, CostModel& model,
 PartitionEnv::PartitionEnv(const Graph& graph, CostModel& model,
                            double baseline_runtime_s, Objective objective,
                            int eval_cache_capacity, CostModel* fallback_model,
-                           const RetryPolicy* retry_policy, int delta_eval)
+                           const RetryPolicy* retry_policy)
     : graph_(&graph),
       model_(&model),
       resilient_(std::make_shared<ResilientCostModel>(
           &model, fallback_model,
           retry_policy != nullptr ? *retry_policy : RetryPolicy::FromEnv())),
+      analytical_(dynamic_cast<const AnalyticalCostModel*>(&model)),
       baseline_runtime_s_(baseline_runtime_s),
       objective_(objective) {
   const int capacity = eval_cache_capacity < 0 ? DefaultEvalCacheCapacity()
@@ -63,12 +64,6 @@ PartitionEnv::PartitionEnv(const Graph& graph, CostModel& model,
   if (capacity > 0) {
     eval_cache_ =
         std::make_shared<EvalCache>(static_cast<std::size_t>(capacity));
-  }
-  const bool delta_on =
-      delta_eval < 0 ? DefaultDeltaEvalEnabled() : delta_eval > 0;
-  if (delta_on && resilient_->AsAnalytical() != nullptr) {
-    delta_pool_ = std::make_shared<DeltaScorerPool>(
-        resilient_.get(), resilient_->AsAnalytical());
   }
 }
 
@@ -78,24 +73,16 @@ PartitionEnv::PartitionEnv(const Graph& graph, CostModel& model,
 // reachable from here).
 double PartitionEnv::Score(const Partition& partition,
                            EvalResult* eval) const {
-  if (delta_pool_ != nullptr) {
-    // Lease one incremental scorer for this evaluation: per-lease state
-    // keeps Score safe to call concurrently, and the scorer's results are
-    // bit-identical to resilient_->Evaluate on every path.  The scorer
-    // reports the wrapped model's name, so cache entries stay
-    // interchangeable with the non-delta path.
-    auto lease = delta_pool_->Acquire();
-    *eval = eval_cache_ != nullptr
-                ? eval_cache_->Evaluate(*graph_, lease.scorer(), partition)
-                : lease.scorer().Evaluate(*graph_, partition);
-  } else {
-    *eval = eval_cache_ != nullptr
-                ? eval_cache_->Evaluate(*graph_, *resilient_, partition)
-                : resilient_->Evaluate(*graph_, partition);
-  }
-  const double cost = objective_ == Objective::kLatency ? eval->latency_s
-                                                        : eval->runtime_s;
-  if (!eval->valid || cost <= 0.0) return 0.0;
+  *eval = eval_cache_ != nullptr
+              ? eval_cache_->Evaluate(*graph_, *resilient_, partition)
+              : resilient_->Evaluate(*graph_, partition);
+  return RewardOf(*eval);
+}
+
+double PartitionEnv::RewardOf(const EvalResult& eval) const {
+  const double cost =
+      objective_ == Objective::kLatency ? eval.latency_s : eval.runtime_s;
+  if (!eval.valid || cost <= 0.0) return 0.0;
   return baseline_runtime_s_ / cost;
 }
 
@@ -113,6 +100,23 @@ double PartitionEnv::Reward(const Partition& partition) {
   EvalResult eval;
   const double reward = Score(partition, &eval);
   CommitScore(partition, eval, reward);
+  return reward;
+}
+
+// MCM_CONTRACT(deterministic): both branches return the same bits -- the
+// evaluator's Score() is bit-identical to a full analytical Evaluate, the
+// memo cache never changes a result, and the resilient wrapper passes any
+// result through unchanged unless it is transient.
+double PartitionEnv::Reward(const DeltaEvaluator& state) {
+  MCM_CHECK(&state.graph() == graph_) << "evaluator bound to another graph";
+  if (analytical_ == nullptr || analytical_->config() != state.config()) {
+    return Reward(state.partition());
+  }
+  const EvalResult eval = state.Score();
+  // Costs that overflow to infinity: let the wrapper handle them.
+  if (IsTransientEvalFailure(eval)) return Reward(state.partition());
+  const double reward = RewardOf(eval);
+  CommitScore(state.partition(), eval, reward);
   return reward;
 }
 

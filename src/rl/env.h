@@ -72,27 +72,24 @@ class PartitionEnv {
   // `retry_policy` (optional, copied) overrides RetryPolicy::FromEnv() for
   // the wrapper -- the partition service derives it from each request's
   // deadline so one slow evaluation cannot eat another request's budget.
-  //
-  // `delta_eval` selects the incremental scoring path (see
-  // costmodel/delta_eval.h): 0 disables, positive enables, negative (the
-  // default) uses DefaultDeltaEvalEnabled(), i.e. --delta-eval /
-  // MCMPART_DELTA_EVAL.  It engages only when the wrapped model has an
-  // analytical core (AsAnalytical() != nullptr); hwsim and fault-injected
-  // models keep full evaluations.  Either way every score is bit-identical
-  // -- the gate trades wall time only.  Copies of an env share the scorer
-  // pool like the cache.
   PartitionEnv(const Graph& graph, CostModel& model,
                double baseline_runtime_s,
                Objective objective = Objective::kThroughput,
                int eval_cache_capacity = -1,
                CostModel* fallback_model = nullptr,
-               const RetryPolicy* retry_policy = nullptr,
-               int delta_eval = -1);
+               const RetryPolicy* retry_policy = nullptr);
 
   Objective objective() const { return objective_; }
 
   // Evaluates a (corrected) partition: improvement ratio, or 0 when invalid.
   double Reward(const Partition& partition);
+
+  // Reward(state.partition()), for an evaluator bound to graph().  When the
+  // env's model is an AnalyticalCostModel with state.config(), the
+  // evaluator's Score() is the evaluation (bit-identical to a full one), so
+  // this skips the cache and the O(n) walk; any other model takes the
+  // Reward(Partition) path.
+  double Reward(const DeltaEvaluator& state);
 
   // Thread-safe half of Reward(): evaluates `partition` on the cost model
   // and returns the reward without touching any environment state, filling
@@ -120,9 +117,6 @@ class PartitionEnv {
   // The memo cache, if enabled (for tests/telemetry).
   const EvalCache* eval_cache() const { return eval_cache_.get(); }
 
-  // The delta-scorer pool, if the incremental path is engaged (for tests).
-  const DeltaScorerPool* delta_pool() const { return delta_pool_.get(); }
-
   // The best-scoring valid partition seen by this environment, if any.
   // Search strategies all score through Reward(), so after a run this holds
   // the incumbent the trace's best value refers to.
@@ -131,15 +125,17 @@ class PartitionEnv {
   const Partition& best_partition() const { return best_partition_; }
 
  private:
+  // Improvement ratio of one evaluation under the objective; 0 if invalid.
+  double RewardOf(const EvalResult& eval) const;
+
   const Graph* graph_;
   CostModel* model_;
   // Retry/degradation wrapper around model_; shared across env copies like
   // the cache (stateless Evaluate, so sharing never changes results).
   std::shared_ptr<ResilientCostModel> resilient_;
   std::shared_ptr<EvalCache> eval_cache_;  // Null when disabled.
-  // Incremental scorers over resilient_'s analytical core; null when the
-  // delta path is gated off or the model has no analytical core.
-  std::shared_ptr<DeltaScorerPool> delta_pool_;
+  // model_ when it is an AnalyticalCostModel, else null.
+  const AnalyticalCostModel* analytical_;
   double baseline_runtime_s_;
   Objective objective_;
   EvalResult last_eval_;

@@ -178,8 +178,14 @@ SearchTrace HillClimbSearch::Run(GraphContext& context, PartitionEnv& env,
     return trace;
   }
 
-  // The incremental screen; its partition() doubles as the incumbent.
-  DeltaEvaluator filter(context.graph(), McmConfig{});
+  // The incremental screen; its partition() doubles as the incumbent.  Built
+  // with the env's analytical config when there is one, so env.Reward can
+  // score each move from the evaluator instead of a full walk.
+  const auto* analytical =
+      dynamic_cast<const AnalyticalCostModel*>(&env.model());
+  DeltaEvaluator filter(context.graph(), analytical != nullptr
+                                             ? analytical->config()
+                                             : McmConfig{});
   filter.Rebase(solved.partition);
   for (int k = 1; k < budget; ++k) {
     // Geometric temperature schedule, as in SimulatedAnnealing.
@@ -200,7 +206,7 @@ SearchTrace HillClimbSearch::Run(GraphContext& context, PartitionEnv& env,
       trace.rewards.push_back(0.0);
       continue;
     }
-    const double reward = env.Reward(filter.partition());
+    const double reward = env.Reward(filter);
     trace.rewards.push_back(reward);
 
     const double delta = reward - current_reward;

@@ -89,13 +89,14 @@ class SimulatedAnnealing final : public SearchStrategy {
   Options options_;
 };
 
-// Single-node-move local search in partition space -- the mutation-heavy
-// workload the incremental evaluator (costmodel/delta_eval.h) serves.  Each
-// proposal moves one node to a random other chip; an incremental
-// DeltaEvaluator screens the move for static validity in O(degree(node)),
-// so invalid neighbors never pay a full-graph walk or an evaluation, and
-// valid neighbors go through the environment with Metropolis acceptance on
-// a geometric temperature schedule.  Complements SimulatedAnnealing, which
+// Single-node-move local search in partition space -- the workload the
+// incremental evaluator (costmodel/delta_eval.h) serves.  Each proposal
+// moves one node to a random other chip; a DeltaEvaluator screens the move
+// for static validity in O(degree(node)), so invalid neighbors never pay a
+// full-graph walk or an evaluation.  Valid neighbors are scored through
+// PartitionEnv::Reward(const DeltaEvaluator&) -- from the evaluator itself
+// on an analytical env -- with Metropolis acceptance on a geometric
+// temperature schedule.  Complements SimulatedAnnealing, which
 // anneals the solver's *probability distribution*; HillClimb anneals the
 // partition itself.
 class HillClimbSearch final : public SearchStrategy {

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 
 namespace mcm::service {
@@ -300,6 +301,27 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
+// Reads the number under `key`, when present, into `*out`.  Anything but
+// an integer in [lo, hi] is an error, so the caller's cast is exact and
+// defined.
+bool ReadInteger(const JsonValue& object, const char* key, double lo,
+                 double hi, double* out, std::string* error) {
+  if (!object.Has(key)) return true;
+  const double value =
+      object.Get(key).AsNumber(std::numeric_limits<double>::quiet_NaN());
+  if (!std::isfinite(value) || value != std::floor(value) || value < lo ||
+      value > hi) {
+    if (error != nullptr) {
+      *error = std::string(key) + " must be an integer in [" +
+               std::to_string(static_cast<long long>(lo)) + ", " +
+               std::to_string(static_cast<long long>(hi)) + "]";
+    }
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 std::uint64_t Fnv1a(const std::string& bytes, std::uint64_t h) {
   for (const char c : bytes) {
     h ^= static_cast<unsigned char>(c);
@@ -440,12 +462,27 @@ bool ParseRequest(const std::string& line, PartitionRequest* request,
     if (error != nullptr) *error = "missing graph";
     return false;
   }
-  r.chips = static_cast<int>(v.Get("chips").AsNumber(r.chips));
-  r.budget = static_cast<int>(v.Get("budget").AsNumber(r.budget));
-  const double seed = v.Get("seed").AsNumber(static_cast<double>(r.seed));
-  r.seed = seed < 0.0 ? 1 : static_cast<std::uint64_t>(seed);
-  r.deadline_ms = static_cast<std::int64_t>(v.Get("deadline_ms").AsNumber(0.0));
-  if (r.deadline_ms < 0) r.deadline_ms = 0;
+  // Seeds above 2^53 - 1 are not exact doubles, so they would be rounded.
+  // The deadline bound keeps the handler's deadline-to-propagations
+  // product far from int64 overflow.
+  constexpr double kMaxInt = std::numeric_limits<int>::max();
+  constexpr double kMaxSeed = 9007199254740991.0;
+  constexpr double kMaxDeadlineMs = std::numeric_limits<std::int32_t>::max();
+  double chips = r.chips;
+  double budget = r.budget;
+  double seed = static_cast<double>(r.seed);
+  double deadline_ms = 0.0;
+  if (!ReadInteger(v, "chips", -kMaxInt, kMaxInt, &chips, error) ||
+      !ReadInteger(v, "budget", -kMaxInt, kMaxInt, &budget, error) ||
+      !ReadInteger(v, "seed", 0.0, kMaxSeed, &seed, error) ||
+      !ReadInteger(v, "deadline_ms", 0.0, kMaxDeadlineMs, &deadline_ms,
+                   error)) {
+    return false;
+  }
+  r.chips = static_cast<int>(chips);
+  r.budget = static_cast<int>(budget);
+  r.seed = static_cast<std::uint64_t>(seed);
+  r.deadline_ms = static_cast<std::int64_t>(deadline_ms);
   *request = std::move(r);
   return true;
 }

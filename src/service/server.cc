@@ -15,7 +15,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "costmodel/delta_eval.h"
 #include "service/batcher.h"
 #include "telemetry/metrics.h"
 #include "telemetry/report.h"
@@ -92,6 +91,9 @@ Server::~Server() {
 }
 
 void Server::Start() {
+  // A signal delivered to an earlier server in this process must not drain
+  // this one.
+  g_shutdown_requested.store(false, std::memory_order_relaxed);
   if (config_.socket_path.empty()) {
     throw std::runtime_error("service: empty socket path");
   }
@@ -145,7 +147,7 @@ void Server::InstallSignalHandlers() {
 }
 
 void Server::Shutdown() {
-  g_shutdown_requested.store(true, std::memory_order_relaxed);
+  shutdown_requested_.store(true, std::memory_order_relaxed);
   WakeLoop();
 }
 
@@ -340,7 +342,10 @@ void Server::Run() {
   const double started_s = telemetry::MonotonicSeconds();
 
   while (true) {
-    if (g_shutdown_requested.load(std::memory_order_relaxed)) BeginShutdown();
+    if (shutdown_requested_.load(std::memory_order_relaxed) ||
+        g_shutdown_requested.load(std::memory_order_relaxed)) {
+      BeginShutdown();
+    }
 
     DrainOutbox();
 
@@ -423,10 +428,6 @@ void Server::WriteReport(double started_s) {
   report.SetValue("queue_depth", static_cast<double>(config_.queue_depth));
   report.SetValue("executors", static_cast<double>(config_.executors));
   report.SetValue("max_batch", static_cast<double>(config_.max_batch));
-  // Counters land in the report's metrics snapshot automatically; the
-  // derived fast-path hit rate is mirrored as a headline value so operators
-  // see it next to the eval-cache hit counters.
-  report.SetValue("delta_eval/fast_fraction", DeltaEvalFastFraction());
   report.SetString("socket", config_.socket_path);
   report.Write(config_.report_path);
 }

@@ -28,6 +28,7 @@
 // caching, concurrency, or load.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -119,6 +120,8 @@ class Server {
   ServerConfig config_;
   const ServingPolicy* warm_start_;
 
+  // Set by Shutdown(); the signal handler sets a process-wide flag instead.
+  std::atomic<bool> shutdown_requested_{false};
   int listen_fd_ = -1;
   int wake_read_fd_ = -1;
   int wake_write_fd_ = -1;

@@ -253,9 +253,6 @@ void ResetMetricsForTest() { Registry::Instance().Reset(); }
 
 void RegisterStandardMetrics() {
   static constexpr const char* kCounters[] = {
-      "costmodel/delta_fallback",
-      "costmodel/delta_fast",
-      "costmodel/delta_rebuild",
       "costmodel/eval_cache_evictions",
       "costmodel/eval_cache_hits",
       "costmodel/eval_cache_misses",

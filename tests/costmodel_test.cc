@@ -12,11 +12,9 @@
 #include "costmodel/cost_model.h"
 #include "costmodel/delta_eval.h"
 #include "costmodel/eval_cache.h"
-#include "faults/faults.h"
 #include "graph/generators.h"
 #include "hwsim/hardware_sim.h"
 #include "partition/heuristics.h"
-#include "runtime/thread_pool.h"
 #include "solver/modes.h"
 
 namespace mcm {
@@ -458,152 +456,6 @@ TEST(DeltaEvalTest, FuzzMatchesFullModelAndReference) {
     EXPECT_EQ(evaluator.partition().assignment, c.base.assignment);
     ExpectDeltaAgreement(c, evaluator, reference);
   }
-}
-
-TEST(DeltaEvalTest, ScorerResultsAreThreadCountInvariant) {
-  // Scores a batch of near-base partitions through a DeltaScorerPool at 1
-  // and 4 threads; both must match sequential full evaluations exactly.
-  Rng rng(77);
-  const FuzzCase c = MakeFuzzCase(rng);
-  std::vector<Partition> candidates;
-  for (int k = 0; k < 32; ++k) {
-    Partition p = c.base;
-    const int moves = 1 + static_cast<int>(rng.UniformInt(3));
-    for (int m = 0; m < moves; ++m) {
-      const std::size_t node = rng.UniformInt(
-          static_cast<std::uint64_t>(c.graph.NumNodes()));
-      p.assignment[node] =
-          static_cast<int>(rng.UniformInt(
-              static_cast<std::uint64_t>(c.num_chips)));
-    }
-    candidates.push_back(std::move(p));
-  }
-
-  AnalyticalCostModel model{McmConfig{}};
-  std::vector<EvalResult> expected;
-  for (const Partition& p : candidates) {
-    expected.push_back(model.Evaluate(c.graph, p));
-  }
-
-  for (const int threads : {1, 4}) {
-    DeltaScorerPool pool(&model, model.AsAnalytical());
-    std::vector<EvalResult> got(candidates.size());
-    ThreadPool workers(threads);
-    workers.ParallelFor(0, static_cast<std::int64_t>(candidates.size()),
-                        [&](std::int64_t i) {
-                          auto lease = pool.Acquire();
-                          got[static_cast<std::size_t>(i)] =
-                              lease.scorer().Evaluate(
-                                  c.graph,
-                                  candidates[static_cast<std::size_t>(i)]);
-                        });
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      EXPECT_EQ(expected[i].valid, got[i].valid);
-      EXPECT_EQ(expected[i].runtime_s, got[i].runtime_s);
-      EXPECT_EQ(expected[i].latency_s, got[i].latency_s);
-    }
-    EXPECT_GE(pool.scorers_created(), 1);
-    EXPECT_LE(pool.scorers_created(), threads);
-  }
-}
-
-TEST(DeltaEvalTest, ScorerCountsFastAndRebuildPaths) {
-  Graph g("g");
-  for (int i = 0; i < 12; ++i) {
-    g.AddNode(OpType::kMatMul, "n", 1e8, 1e3);
-    if (i > 0) g.AddEdge(i - 1, i);
-  }
-  AnalyticalCostModel model{McmConfig{}};
-  DeltaScorer scorer(&model, model.AsAnalytical());
-
-  Partition base = Assign({0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3}, 4);
-  scorer.Evaluate(g, base);
-  EXPECT_EQ(scorer.rebuilds(), 1);  // First sight of the graph.
-  scorer.Evaluate(g, base);         // Zero-move diff.
-  EXPECT_EQ(scorer.fast_evals(), 1);
-
-  Partition moved = base;
-  moved.assignment[2] = 1;  // Single-node diff.
-  const EvalResult fast = scorer.Evaluate(g, moved);
-  EXPECT_EQ(scorer.fast_evals(), 2);
-  EXPECT_EQ(fast.runtime_s, model.Evaluate(g, moved).runtime_s);
-
-  // A lone far candidate goes to the slow model (a Rebase would only pay
-  // off if later requests stayed near it).
-  Partition far = Assign({1, 1, 1, 2, 2, 2, 3, 3, 3, 3, 3, 3}, 4);
-  const EvalResult far_slow = scorer.Evaluate(g, far);
-  EXPECT_EQ(scorer.fallback_evals(), 1);
-  EXPECT_EQ(scorer.rebuilds(), 1);
-  EXPECT_EQ(far_slow.runtime_s, model.Evaluate(g, far).runtime_s);
-
-  // A second far candidate *near the previous one* signals local search
-  // jumped regions: the scorer re-locks with a Rebase...
-  Partition far_nudged = far;
-  far_nudged.assignment[0] = 0;
-  scorer.Evaluate(g, far_nudged);
-  EXPECT_EQ(scorer.rebuilds(), 2);
-  // ...and serves subsequent neighbors incrementally again.
-  Partition far_neighbor = far_nudged;
-  far_neighbor.assignment[4] = 1;
-  const EvalResult relocked = scorer.Evaluate(g, far_neighbor);
-  EXPECT_EQ(scorer.fast_evals(), 3);
-  EXPECT_EQ(relocked.runtime_s, model.Evaluate(g, far_neighbor).runtime_s);
-
-  Partition incomplete = base;
-  incomplete.assignment[5] = -1;
-  const EvalResult fb = scorer.Evaluate(g, incomplete);
-  EXPECT_EQ(scorer.fallback_evals(), 2);  // Slow path screens it.
-  EXPECT_FALSE(fb.valid);
-}
-
-TEST(DeltaEvalTest, ScorerFallsBackWithoutAnalyticalCore) {
-  Graph g("g");
-  for (int i = 0; i < 6; ++i) {
-    g.AddNode(OpType::kMatMul, "n", 1e9, 1e3, 1e6);
-    if (i > 0) g.AddEdge(i - 1, i);
-  }
-  HardwareSim sim;
-  ASSERT_EQ(sim.AsAnalytical(), nullptr);
-  DeltaScorer scorer(&sim, sim.AsAnalytical());
-  const Partition p = Assign({0, 0, 0, 1, 1, 1}, 2);
-  const EvalResult via_scorer = scorer.Evaluate(g, p);
-  const EvalResult direct = sim.Evaluate(g, p);
-  EXPECT_EQ(scorer.fallback_evals(), 1);
-  EXPECT_EQ(scorer.fast_evals(), 0);
-  EXPECT_EQ(via_scorer.runtime_s, direct.runtime_s);
-}
-
-TEST(DeltaEvalTest, ResilientAnalyticalExposesCore) {
-  AnalyticalCostModel model{McmConfig{}};
-  ResilientCostModel resilient(&model, nullptr, RetryPolicy{});
-  EXPECT_EQ(resilient.AsAnalytical(), model.AsAnalytical());
-  HardwareSim sim;
-  ResilientCostModel resilient_sim(&sim, &model, RetryPolicy{});
-  EXPECT_EQ(resilient_sim.AsAnalytical(), nullptr);
-}
-
-TEST(DeltaEvalTest, FirstChipOverMemoryIsAdvisoryOnly) {
-  Graph g("g");
-  g.AddNode(OpType::kMatMul, "a", 1.0, 1.0, 50e6);
-  g.AddNode(OpType::kMatMul, "b", 1.0, 1.0, 90e6);
-  g.AddEdge(0, 1);
-  DeltaEvaluator evaluator(g, McmConfig{});
-  Partition p = Assign({0, 1}, 2);
-  evaluator.Rebase(p);
-  EXPECT_EQ(evaluator.FirstChipOverMemory(200e6), -1);
-  EXPECT_EQ(evaluator.FirstChipOverMemory(60e6), 1);
-  EXPECT_EQ(evaluator.FirstChipOverMemory(10e6), 0);
-  // Score() never enforces the bound: the analytical model does not either.
-  EXPECT_TRUE(evaluator.Score().valid);
-}
-
-TEST(DeltaEvalTest, DefaultGateOverride) {
-  SetDefaultDeltaEvalEnabled(0);
-  EXPECT_FALSE(DefaultDeltaEvalEnabled());
-  SetDefaultDeltaEvalEnabled(1);
-  EXPECT_TRUE(DefaultDeltaEvalEnabled());
-  SetDefaultDeltaEvalEnabled(-1);  // Clears the override (env/base default).
-  EXPECT_TRUE(DefaultDeltaEvalEnabled());
 }
 
 // ---- Calibration-style property (mini Figure 7) -----------------------------

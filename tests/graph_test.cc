@@ -1,6 +1,8 @@
 // Tests for the graph substrate: structure, analyses, serialization, node
 // features, and the model generators (including the corpus and BERT).
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -105,6 +107,34 @@ TEST(GraphTest, DeserializeRejectsGarbage) {
   EXPECT_THROW(Graph::Deserialize(bad), std::runtime_error);
   std::stringstream truncated("graph g\nnodes 2\nnode 0 0 1 1 1 a\n");
   EXPECT_THROW(Graph::Deserialize(truncated), std::runtime_error);
+}
+
+TEST(GraphTest, ValidateRejectsNonFiniteCosts) {
+  Graph g = Diamond();
+  g.mutable_node(2).compute_flops = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_NE(g.Validate(), "");
+  g = Diamond();
+  g.mutable_node(1).param_bytes = std::numeric_limits<double>::infinity();
+  EXPECT_NE(g.Validate(), "");
+}
+
+TEST(GraphTest, DeserializeRejectsHostileGraphs) {
+  // A self-edge must throw before AddEdge's check aborts the process.
+  std::stringstream self_edge(
+      "graph g\nnodes 1\nnode 0 0 1 1 1 a\nedges 1\nedge 0 0\nend\n");
+  EXPECT_THROW(Graph::Deserialize(self_edge), std::runtime_error);
+  // A cycle parses but fails Validate(); the solver assumes acyclicity.
+  std::stringstream cycle(
+      "graph g\nnodes 2\nnode 0 0 1 1 1 a\nnode 1 0 1 1 1 b\n"
+      "edges 2\nedge 0 1\nedge 1 0\nend\n");
+  EXPECT_THROW(Graph::Deserialize(cycle), std::runtime_error);
+  // A cost outside double range is a parse error, not a clamped value.
+  std::stringstream huge(
+      "graph g\nnodes 1\nnode 0 0 1e999 1 1 a\nedges 0\nend\n");
+  EXPECT_THROW(Graph::Deserialize(huge), std::runtime_error);
+  std::stringstream negative(
+      "graph g\nnodes 1\nnode 0 0 -5 1 1 a\nedges 0\nend\n");
+  EXPECT_THROW(Graph::Deserialize(negative), std::runtime_error);
 }
 
 TEST(GraphTest, DotOutputMentionsAllNodes) {

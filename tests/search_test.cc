@@ -4,7 +4,9 @@
 #include "costmodel/cost_model.h"
 #include "graph/generators.h"
 #include "rl/env.h"
+#include "runtime/thread_pool.h"
 #include "search/search.h"
+#include "solver/modes.h"
 
 namespace mcm {
 namespace {
@@ -131,37 +133,94 @@ TEST(SearchDeterminismTest, EvalCacheDoesNotChangeResults) {
   EXPECT_GT(cached.eval_cache()->hits() + cached.eval_cache()->misses(), 0);
 }
 
-TEST(SearchDeterminismTest, DeltaEvalDoesNotChangeResults) {
-  // The incremental evaluator is a pure fast path: every trace reward and
-  // the best partition must be bit-identical with delta eval on or off.
-  std::vector<Graph> corpus = MakeCorpus();
-  const Graph& graph = corpus[30];
-  AnalyticalCostModel model{McmConfig{}};
-  GraphContext c1(graph, 36), c2(graph, 36);
+// Evaluates exactly like the AnalyticalCostModel it wraps without being
+// one, so an env over it scores every partition by full evaluation.
+class ForwardingModel final : public CostModel {
+ public:
+  explicit ForwardingModel(AnalyticalCostModel& inner) : inner_(&inner) {}
+  EvalResult Evaluate(const Graph& graph,
+                      const Partition& partition) override {
+    return inner_->Evaluate(graph, partition);
+  }
+  std::string name() const override { return inner_->name(); }
+
+ private:
+  AnalyticalCostModel* inner_;
+};
+
+struct LocalSearchRun {
+  std::vector<double> rewards;  // HillClimb trace.
+  std::vector<int> probed;      // ProbeSingleNodeMoves result.
+  double best_reward = 0.0;
+  std::vector<int> best;
+  std::int64_t evaluations = 0;
+  std::int64_t cache_lookups = 0;
+};
+
+// HillClimb, then ProbeSingleNodeMoves from the baseline through
+// env.Reward, on one env over `model` at `threads` worker threads.
+LocalSearchRun RunLocalSearch(const Graph& graph, CostModel& model,
+                              PartitionEnv::Objective objective, int threads,
+                              int budget) {
+  SetDefaultThreadCount(threads);
+  GraphContext context(graph, 36);
   Rng rng(1);
-  const double baseline =
-      ComputeHeuristicBaseline(graph, model, c1.solver(), rng).eval.runtime_s;
-  PartitionEnv with_delta(graph, model, baseline,
-                          PartitionEnv::Objective::kThroughput,
-                          /*eval_cache_capacity=*/0,
-                          /*fallback_model=*/nullptr,
-                          /*retry_policy=*/nullptr, /*delta_eval=*/1);
-  PartitionEnv without(graph, model, baseline,
-                       PartitionEnv::Objective::kThroughput,
-                       /*eval_cache_capacity=*/0,
-                       /*fallback_model=*/nullptr,
-                       /*retry_policy=*/nullptr, /*delta_eval=*/0);
-  ASSERT_NE(with_delta.delta_pool(), nullptr);
-  EXPECT_EQ(without.delta_pool(), nullptr);
-  SimulatedAnnealing s1{Rng(9)}, s2{Rng(9)};
-  const SearchTrace t1 = s1.Run(c1, with_delta, 60);
-  const SearchTrace t2 = s2.Run(c2, without, 60);
-  EXPECT_EQ(t1.rewards, t2.rewards);
-  ASSERT_TRUE(with_delta.has_best());
-  ASSERT_TRUE(without.has_best());
-  EXPECT_EQ(with_delta.best_reward(), without.best_reward());
-  EXPECT_EQ(with_delta.best_partition().assignment,
-            without.best_partition().assignment);
+  const BaselineResult baseline =
+      ComputeHeuristicBaseline(graph, model, context.solver(), rng);
+  PartitionEnv env(graph, model, baseline.eval.runtime_s, objective,
+                   /*eval_cache_capacity=*/1024);
+  LocalSearchRun out;
+  out.rewards = HillClimbSearch{Rng(13)}.Run(context, env, budget).rewards;
+  Rng probe_rng(17);
+  out.probed = ProbeSingleNodeMoves(
+                   graph, baseline.partition, env.Reward(baseline.partition),
+                   [&env](const Partition& p) { return env.Reward(p); },
+                   budget, probe_rng)
+                   .assignment;
+  out.best_reward = env.best_reward();
+  out.best = env.best_partition().assignment;
+  out.evaluations = env.num_evaluations();
+  out.cache_lookups = env.eval_cache()->hits() + env.eval_cache()->misses();
+  return out;
+}
+
+// Scoring from the evaluator (analytical env) and by full evaluation
+// (forwarding env) must give bit-identical traces, probes and incumbents at
+// 1 and 4 threads.
+void ExpectEvaluatorPathIsFullEvaluation(const Graph& graph,
+                                         PartitionEnv::Objective objective,
+                                         int budget) {
+  const int before = DefaultThreadCount();
+  AnalyticalCostModel analytical{McmConfig{}};
+  ForwardingModel forwarding(analytical);
+  const LocalSearchRun reference =
+      RunLocalSearch(graph, analytical, objective, 1, budget);
+  ASSERT_GT(reference.best_reward, 0.0);
+  for (const int threads : {1, 4}) {
+    for (CostModel* model : {static_cast<CostModel*>(&analytical),
+                             static_cast<CostModel*>(&forwarding)}) {
+      const LocalSearchRun run =
+          RunLocalSearch(graph, *model, objective, threads, budget);
+      EXPECT_EQ(run.rewards, reference.rewards) << threads;
+      EXPECT_EQ(run.probed, reference.probed) << threads;
+      EXPECT_EQ(run.best_reward, reference.best_reward) << threads;
+      EXPECT_EQ(run.best, reference.best) << threads;
+      EXPECT_EQ(run.evaluations, reference.evaluations) << threads;
+      if (model == &forwarding) {
+        // Only the forwarding env sent HillClimb's moves through the cache.
+        EXPECT_GT(run.cache_lookups, reference.cache_lookups) << threads;
+      } else {
+        EXPECT_EQ(run.cache_lookups, reference.cache_lookups) << threads;
+      }
+    }
+  }
+  SetDefaultThreadCount(before);
+}
+
+TEST(SearchDeterminismTest, DeltaEvalDoesNotChangeResults) {
+  std::vector<Graph> corpus = MakeCorpus();
+  ExpectEvaluatorPathIsFullEvaluation(
+      corpus[30], PartitionEnv::Objective::kThroughput, /*budget=*/120);
 }
 
 TEST(HillClimbTest, TracksBudgetAndOnlyValidMovesScore) {
@@ -183,27 +242,9 @@ TEST(HillClimbTest, TracksBudgetAndOnlyValidMovesScore) {
 }
 
 TEST(HillClimbTest, DeterministicPerSeedAndDeltaInvariant) {
-  std::vector<Graph> corpus = MakeCorpus();
-  const Graph& graph = corpus[30];
-  AnalyticalCostModel model{McmConfig{}};
-  GraphContext c1(graph, 36), c2(graph, 36);
-  Rng rng(1);
-  const double baseline =
-      ComputeHeuristicBaseline(graph, model, c1.solver(), rng).eval.runtime_s;
-  PartitionEnv e1(graph, model, baseline,
-                  PartitionEnv::Objective::kThroughput,
-                  /*eval_cache_capacity=*/0, /*fallback_model=*/nullptr,
-                  /*retry_policy=*/nullptr, /*delta_eval=*/1);
-  PartitionEnv e2(graph, model, baseline,
-                  PartitionEnv::Objective::kThroughput,
-                  /*eval_cache_capacity=*/0, /*fallback_model=*/nullptr,
-                  /*retry_policy=*/nullptr, /*delta_eval=*/0);
-  HillClimbSearch s1{Rng(13)}, s2{Rng(13)};
-  const SearchTrace t1 = s1.Run(c1, e1, 120);
-  const SearchTrace t2 = s2.Run(c2, e2, 120);
-  EXPECT_EQ(t1.rewards, t2.rewards);
-  ASSERT_TRUE(e1.has_best());
-  EXPECT_EQ(e1.best_partition().assignment, e2.best_partition().assignment);
+  // BERT-scale, under the latency objective.
+  ExpectEvaluatorPathIsFullEvaluation(
+      MakeBert(), PartitionEnv::Objective::kLatency, /*budget=*/300);
 }
 
 TEST(NoSolverRlTest, FindsNoValidPartition) {

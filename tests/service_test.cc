@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <sstream>
@@ -127,6 +128,27 @@ TEST(ProtocolTest, MalformedInputIsRejected) {
       << "a request without a graph must be rejected";
   EXPECT_FALSE(ParseRequest("{\"graph\": \"g\", \"mode\": \"bogus\"}",
                             &request, &error));
+  // Numbers must be integers in range before they are cast.
+  for (const char* field : {
+           "\"chips\": 1e30", "\"chips\": 2.5", "\"chips\": \"4\"",
+           "\"budget\": -1e30", "\"budget\": 3000000000",
+           "\"seed\": 1e30", "\"seed\": 9007199254740992",
+           "\"seed\": -1", "\"seed\": 0.5", "\"deadline_ms\": 1e300",
+           "\"deadline_ms\": -5", "\"deadline_ms\": 1.5"}) {
+    const std::string line =
+        std::string("{\"graph\": \"g\", ") + field + "}";
+    EXPECT_FALSE(ParseRequest(line, &request, &error)) << line;
+    EXPECT_NE(error, "") << line;
+  }
+  ASSERT_TRUE(ParseRequest(
+      "{\"graph\": \"g\", \"chips\": 36, \"budget\": 0, "
+      "\"seed\": 9007199254740991, \"deadline_ms\": 250}",
+      &request, &error))
+      << error;
+  EXPECT_EQ(request.chips, 36);
+  EXPECT_EQ(request.budget, 0);
+  EXPECT_EQ(request.seed, 9007199254740991ULL);
+  EXPECT_EQ(request.deadline_ms, 250);
 }
 
 TEST(ProtocolTest, CacheKeyDiscriminatesEveryPlacementShapingField) {
@@ -490,6 +512,35 @@ TEST(ServerTest, MalformedLineGetsAnErrorResponseNotADisconnect) {
 
   const PartitionResponse good = client.Call(SmallRequest(2));
   EXPECT_TRUE(good.ok) << good.error;
+}
+
+TEST(ServerTest, HostileGraphGetsAnErrorResponseNotAnAbort) {
+  ServerFixture fixture(ServerConfig{});
+  ServiceClient client(fixture.socket_path());
+  PartitionRequest cyclic = SmallRequest(1);
+  cyclic.graph_text =
+      "graph g\nnodes 2\nnode 0 0 1 1 1 a\nnode 1 0 1 1 1 b\n"
+      "edges 2\nedge 0 1\nedge 1 0\nend\n";
+  const PartitionResponse rejected = client.Call(cyclic);
+  EXPECT_FALSE(rejected.ok);
+  EXPECT_NE(rejected.error.find("cycle"), std::string::npos)
+      << rejected.error;
+
+  const PartitionResponse good = client.Call(SmallRequest(2));
+  EXPECT_TRUE(good.ok) << good.error;
+}
+
+TEST(ServerTest, SecondServerInTheProcessServesUntilItsOwnShutdown) {
+  // Shutdown() of the first server must not drain the second.  A server
+  // that drains at once closes its socket on the first loop pass; the pause
+  // lets that happen, so the bug fails the connect instead of hanging.
+  for (int round = 0; round < 2; ++round) {
+    ServerFixture fixture(ServerConfig{});
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    ServiceClient client(fixture.socket_path());
+    const PartitionResponse response = client.Call(SmallRequest(40 + round));
+    EXPECT_TRUE(response.ok) << "server " << round << ": " << response.error;
+  }
 }
 
 TEST(ServerTest, DrainCompletesInFlightRequests) {

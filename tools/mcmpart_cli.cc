@@ -32,9 +32,6 @@
 //     --eval-cache N   partition-evaluation memo-cache entries (default:
 //                      MCMPART_EVAL_CACHE env, else 1024; 0 disables);
 //                      results are identical with the cache on or off
-//     --delta-eval 0|1 incremental (delta) partition re-scoring for the
-//                      analytical model (default: MCMPART_DELTA_EVAL env,
-//                      else 1); results are bit-identical on or off
 //     --out FILE       write "node chip" lines of the best partition
 //     --trace-out FILE    write Chrome trace-event JSON (spans)
 //     --metrics-out FILE  write a metrics/run-report JSON
@@ -50,9 +47,7 @@
 //                      pre-trained policy served to zeroshot/finetune
 //                      requests (--chips must match the checkpoint)
 //     --threads N / --nn-threads N    runtime pools, as for partition
-//     --delta-eval 0|1 as for partition
 //     --metrics-out FILE  write a RunReport after the graceful drain
-//                      (includes delta_eval/fast_fraction)
 //     SIGTERM/SIGINT drain gracefully: finish in-flight work, flush, exit 0.
 //   mcmpart request <in.graph> [options]      one request against a daemon
 //     --socket PATH    daemon socket                      (required)
@@ -68,8 +63,7 @@
 //     --chips N        chiplets in the package           (default 8)
 //     --model M        analytical | hwsim (hwsim degrades to the
 //                      analytical model on permanent evaluation failure)
-//     --seed S / --threads N / --nn-threads N / --delta-eval 0|1
-//                      as for partition
+//     --seed S / --threads N / --nn-threads N   as for partition
 //     --checkpoint-dir DIR  save resumable state into DIR
 //     --checkpoint-every K  save state every K iterations (default 1
 //                      when a checkpoint dir is set)
@@ -95,7 +89,6 @@
 #include <vector>
 
 #include "costmodel/cost_model.h"
-#include "costmodel/delta_eval.h"
 #include "graph/generators.h"
 #include "hwsim/hardware_sim.h"
 #include "pipeline/pretrain.h"
@@ -133,13 +126,11 @@ int Usage() {
                " [--objective throughput|latency] [--seed S] [--deadline-ms D]"
                " [--checkpoint F] [--checkpoint-shape quick|pretrain]"
                " [--threads N] [--nn-threads N] [--eval-cache N]"
-               " [--delta-eval 0|1]"
                " [--out FILE]\n"
                "       mcmpart serve --socket PATH [--queue-depth N]"
                " [--cache N] [--executors N] [--max-batch N] [--checkpoint F]"
                " [--checkpoint-shape quick|pretrain] [--chips N] [--threads N]"
-               " [--nn-threads N]"
-               " [--delta-eval 0|1] [--metrics-out FILE]\n"
+               " [--nn-threads N] [--metrics-out FILE]\n"
                "       mcmpart request <in.graph> --socket PATH [--id ID]"
                " [--method M] [--model M] [--objective O] [--chips N]"
                " [--budget B] [--seed S] [--deadline-ms D] [--out FILE]\n"
@@ -147,7 +138,6 @@ int Usage() {
                " [--samples N] [--checkpoints N] [--chips N]"
                " [--model analytical|hwsim] [--seed S] [--threads N]"
                " [--nn-threads N]"
-               " [--delta-eval 0|1]"
                " [--checkpoint-dir DIR] [--checkpoint-every K] [--resume]"
                " [--stop-after N] [--validate] [--save-best F]"
                " [--metrics-out FILE]\n");
@@ -272,7 +262,6 @@ int RunPartition(const Graph& graph, int argc, char** argv) {
     else if (arg == "--threads") SetDefaultThreadCount(std::stoi(next()));
     else if (arg == "--nn-threads") SetNnThreadCount(std::stoi(next()));
     else if (arg == "--eval-cache") SetDefaultEvalCacheCapacity(std::stoi(next()));
-    else if (arg == "--delta-eval") SetDefaultDeltaEvalEnabled(std::stoi(next()));
     else if (arg == "--out") out_path = next();
     else if (arg == "--trace-out") trace_path = next();
     else if (arg == "--metrics-out") metrics_path = next();
@@ -337,7 +326,6 @@ int RunServe(int argc, char** argv) {
     else if (arg == "--checkpoint-shape") checkpoint_shape = next();
     else if (arg == "--threads") SetDefaultThreadCount(std::stoi(next()));
     else if (arg == "--nn-threads") SetNnThreadCount(std::stoi(next()));
-    else if (arg == "--delta-eval") SetDefaultDeltaEvalEnabled(std::stoi(next()));
     else if (arg == "--metrics-out") config.report_path = next();
     else throw UsageError("unknown option: " + arg);
   }
@@ -436,7 +424,6 @@ int RunPretrain(int argc, char** argv) {
     else if (arg == "--seed") seed = std::stoull(next());
     else if (arg == "--threads") SetDefaultThreadCount(std::stoi(next()));
     else if (arg == "--nn-threads") SetNnThreadCount(std::stoi(next()));
-    else if (arg == "--delta-eval") SetDefaultDeltaEvalEnabled(std::stoi(next()));
     else if (arg == "--checkpoint-dir") checkpoint_dir = next();
     else if (arg == "--checkpoint-every") checkpoint_every = std::stoi(next());
     else if (arg == "--resume") resume = true;
@@ -510,9 +497,6 @@ int RunPretrain(int argc, char** argv) {
   report.SetValue("checkpoints_emitted",
                   static_cast<double>(emitted.size()));
   report.SetValue("samples_seen", seen);
-  // Fast-path hit rate of the incremental evaluator; the underlying
-  // costmodel/delta_* counters land in the metrics snapshot automatically.
-  report.SetValue("delta_eval/fast_fraction", DeltaEvalFastFraction());
 
   if (validate && !emitted.empty() && !val.empty()) {
     std::unique_ptr<telemetry::PhaseTimer> validate_timer =
