@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <thread>
 
 #include "common/env.h"
 #include "common/logging.h"
@@ -145,6 +146,11 @@ telemetry::RunReport MakeBenchReport(std::string_view name) {
                    GetBenchScale() == BenchScale::kFull ? "full" : "quick");
   report.SetValue("threads", DefaultThreadCount());
   report.SetValue("nn_threads", NnThreadCount());
+  // bench_compare.py --gate refuses a baseline recorded on fewer cores.
+  // A core-count query starts no thread, hence the NOLINT.
+  const unsigned cores =
+      std::thread::hardware_concurrency();  // NOLINT(mcm-raw-thread)
+  report.SetValue("hardware_concurrency", cores);
   return report;
 }
 

@@ -12,7 +12,10 @@ are expected to be bit-identical and belong to correctness tests, not perf
 thresholds.  gate/* metrics are machine-robust ratios (e.g. micro_delta's
 delta-over-full re-score time), so they can be gated with a real threshold
 even on noisy shared runners; --gate PCT sets that threshold and forces a
-non-zero exit on regression (it overrides --report-only).
+non-zero exit on regression (it overrides --report-only).  A parallel
+speedup ratio only means something against a baseline from a machine with
+at least as many cores, so --gate also refuses a baseline whose
+"hardware_concurrency" value is missing or lower than the current report's.
 
 Usage:
   bench_compare.py BASELINE CURRENT [--threshold PCT] [--report-only]
@@ -103,6 +106,17 @@ def pair_files(baseline, current):
                         os.path.join(baseline, name))
 
 
+def check_cores(label, base, cur):
+    """--gate only: exits when the baseline came from a smaller machine."""
+    base_cores = base.get("hardware_concurrency")
+    cur_cores = cur.get("hardware_concurrency", 0.0)
+    if base_cores is None or base_cores < cur_cores:
+        recorded = "missing" if base_cores is None else f"{base_cores:g}"
+        sys.exit(f"error: {label}: baseline hardware_concurrency is "
+                 f"{recorded}, this run has {cur_cores:g}; re-record the "
+                 f"baseline on a machine with at least as many cores")
+
+
 def is_timing(key):
     return key.startswith(REGRESSION_PREFIXES)
 
@@ -153,8 +167,10 @@ def main():
     all_regressions = []
     compared = 0
     for label, base_path, cur_path in pair_files(args.baseline, args.current):
-        all_regressions += compare(label, load_report(base_path),
-                                   load_report(cur_path), args.threshold)
+        base, cur = load_report(base_path), load_report(cur_path)
+        if args.gate is not None:
+            check_cores(label, base, cur)
+        all_regressions += compare(label, base, cur, args.threshold)
         compared += 1
     if compared == 0 and RECORDED[0] == 0:
         sys.exit("error: no comparable BENCH_*.json pairs found")

@@ -5,12 +5,11 @@
 # pool, ASan+UBSan for memory and undefined-behavior bugs.
 #
 # Usage: scripts/check.sh [--lint-only] [--release-only] [--tsan-only] [--asan-only]
-#                         [--incremental] [--sarif PATH]
+#                         [--sarif PATH]
 # With no flags every stage runs; flags are combinable and select exactly the
 # named stages (e.g. "--lint-only --asan-only" runs lint then ASan).
-# Lint-stage modifiers: --incremental reuses build/mcmlint.cache so only
-# edited files are re-parsed; --sarif PATH additionally writes the findings
-# as SARIF 2.1.0 for code-scanning upload.
+# Lint-stage modifier: --sarif PATH additionally writes the findings as
+# SARIF 2.1.0 for code-scanning upload.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,11 +36,10 @@ for arg in "$@"; do
     --release-only) run_release=1 ;;
     --tsan-only) run_tsan=1 ;;
     --asan-only) run_asan=1 ;;
-    --incremental) lint_flags+=(--incremental) ;;
     --sarif) expect_sarif_path=1 ;;
     *)
       echo "usage: scripts/check.sh [--lint-only] [--release-only]" \
-           "[--tsan-only] [--asan-only] [--incremental] [--sarif PATH]" >&2
+           "[--tsan-only] [--asan-only] [--sarif PATH]" >&2
       exit 2
       ;;
   esac
@@ -58,7 +56,7 @@ if [ "${run_lint}" = 1 ]; then
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
   cmake --build build -j"${jobs}" --target mcmlint
   ./build/tools/mcmlint/mcmlint --root . --config tools/mcmlint/mcmlint.conf \
-    --stats "${lint_flags[@]+"${lint_flags[@]}"}"
+    "${lint_flags[@]+"${lint_flags[@]}"}"
   ./build/tools/mcmlint/mcmlint --expect-dir tools/mcmlint/testdata
 fi
 

@@ -12,6 +12,7 @@
 #include <csignal>
 #include <cstring>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "common/logging.h"
@@ -269,11 +270,25 @@ void Server::HandleLine(Connection& conn, const std::string& line) {
 }
 
 void Server::HandleReadable(Connection& conn) {
+  static telemetry::Counter& protocol_errors =
+      telemetry::Counter::Get("service/protocol_errors");
   char chunk[4096];
+  // Complete lines are consumed below, so on entry the whole buffer is the
+  // newline-free tail of the current line.
+  std::size_t tail = conn.read_buffer.size();
+  bool too_long = false;
   while (true) {
     const ssize_t n = read(conn.fd, chunk, sizeof(chunk));
     if (n > 0) {
-      conn.read_buffer.append(chunk, static_cast<std::size_t>(n));
+      const std::size_t len = static_cast<std::size_t>(n);
+      conn.read_buffer.append(chunk, len);
+      const std::size_t newline = std::string_view(chunk, len).rfind('\n');
+      tail = newline == std::string_view::npos ? tail + len
+                                               : len - newline - 1;
+      if (tail > kMaxRequestLineBytes) {
+        too_long = true;
+        break;
+      }
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
@@ -288,6 +303,14 @@ void Server::HandleReadable(Connection& conn) {
     start = newline + 1;
   }
   conn.read_buffer.erase(0, start);
+  if (too_long) {
+    // Refuse the line and stop reading; the loop closes the connection once
+    // its admitted requests are delivered.
+    protocol_errors.Add();
+    std::string().swap(conn.read_buffer);
+    QueueResponse(conn, MakeErrorResponse("", "request line too long"));
+    conn.peer_closed = true;
+  }
   FlushWrites(conn);
 }
 

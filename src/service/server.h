@@ -29,6 +29,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -44,6 +45,12 @@
 #include "service/protocol.h"
 
 namespace mcm::service {
+
+// A request line longer than this gets a "request line too long" error and
+// its connection is closed, so a client that never sends '\n' cannot grow
+// the daemon's memory without bound.  The largest legitimate request, the
+// serialized BERT graph, is about 149 KB.
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{16} << 20;
 
 struct ServerConfig {
   std::string socket_path;

@@ -4,10 +4,15 @@
 // are bit-identical to the same request run offline).
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -527,6 +532,58 @@ TEST(ServerTest, HostileGraphGetsAnErrorResponseNotAnAbort) {
       << rejected.error;
 
   const PartitionResponse good = client.Call(SmallRequest(2));
+  EXPECT_TRUE(good.ok) << good.error;
+}
+
+TEST(ServerTest, OverlongLineGetsAnErrorAndACloseThenServerKeepsServing) {
+  ServerFixture fixture(ServerConfig{});
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, fixture.socket_path().c_str(),
+               sizeof(addr.sun_path) - 1);
+  const int fd = socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                    sizeof(addr)),
+            0);
+  // Without the cap the server would never answer; fail instead of hang.
+  const timeval timeout{30, 0};
+  ASSERT_EQ(setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)),
+            0);
+
+  // One byte past the cap, never a newline.
+  const std::string flood(kMaxRequestLineBytes + 1, 'x');
+  std::size_t sent = 0;
+  while (sent < flood.size()) {
+    const ssize_t n = send(fd, flood.data() + sent, flood.size() - sent,
+                           MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
+    ASSERT_GT(n, 0) << std::strerror(errno);
+    sent += static_cast<std::size_t>(n);
+  }
+
+  std::string received;
+  char buffer[4096];
+  while (true) {
+    const ssize_t n = read(fd, buffer, sizeof(buffer));
+    if (n < 0 && errno == EINTR) continue;
+    ASSERT_GE(n, 0) << std::strerror(errno);
+    if (n == 0) break;  // EOF: the server closed the connection.
+    received.append(buffer, static_cast<std::size_t>(n));
+  }
+  close(fd);
+  ASSERT_FALSE(received.empty());
+  ASSERT_EQ(received.back(), '\n');
+  PartitionResponse error_response;
+  std::string parse_error;
+  ASSERT_TRUE(ParseResponse(received.substr(0, received.size() - 1),
+                            &error_response, &parse_error))
+      << parse_error;
+  EXPECT_FALSE(error_response.ok);
+  EXPECT_EQ(error_response.error, "request line too long");
+
+  ServiceClient client(fixture.socket_path());
+  const PartitionResponse good = client.Call(SmallRequest(3));
   EXPECT_TRUE(good.ok) << good.error;
 }
 

@@ -39,8 +39,8 @@
 //
 // All three rules self-filter suppression from the index (signature-line
 // NOLINT disables a contract or a guard finding for that function; call- and
-// op-line NOLINTs sanitize edges and ops) because cached files have no
-// SourceFile to consult at diagnosis time.
+// op-line NOLINTs sanitize edges and ops): the cross-file passes see only
+// the index map, never a file's SourceFile.
 #pragma once
 
 #include <map>

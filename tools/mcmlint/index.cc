@@ -1,9 +1,5 @@
 #include "index.h"
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-
 namespace mcmlint {
 
 namespace {
@@ -686,227 +682,10 @@ class Indexer {
   std::vector<BodyRange> bodies_;
 };
 
-// ---- Cache serialization ----------------------------------------------------
-//
-// Line-oriented, fields separated by '\x1f' (never present in paths, names,
-// or diagnostic messages).  Any structural surprise fails the whole load --
-// the cache is a pure accelerator, so "reparse everything" is always a
-// correct fallback.
-
-constexpr char kSep = '\x1f';
-constexpr const char* kMagic = "mcmlint-cache";
-constexpr int kVersion = 3;
-
-std::string JoinSet(const std::set<std::string>& items) {
-  std::string out;
-  for (const std::string& item : items) {
-    if (!out.empty()) out += ',';
-    out += item;
-  }
-  return out;
-}
-
-std::set<std::string> SplitSet(const std::string& joined) {
-  std::set<std::string> out;
-  std::size_t pos = 0;
-  while (pos <= joined.size()) {
-    const std::size_t comma = joined.find(',', pos);
-    const std::string item =
-        joined.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    if (!item.empty()) out.insert(item);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
-}
-
-std::vector<std::string> SplitFields(const std::string& line) {
-  std::vector<std::string> fields;
-  std::size_t pos = 0;
-  while (pos <= line.size()) {
-    const std::size_t sep = line.find(kSep, pos);
-    fields.push_back(
-        line.substr(pos, sep == std::string::npos ? sep : sep - pos));
-    if (sep == std::string::npos) break;
-    pos = sep + 1;
-  }
-  return fields;
-}
-
-bool ParseInt(const std::string& text, long long* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoll(text.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
-}
-
-// Content hashes use the full uint64 range, which overflows strtoll.
-bool ParseUint(const std::string& text, std::uint64_t* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoull(text.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
-}
-
-void WriteFile(std::ostream& out, const FileIndex& fi) {
-  out << 'F' << kSep << fi.path << kSep << fi.content_hash << '\n';
-  for (const Diagnostic& d : fi.file_diags) {
-    out << 'D' << kSep << d.line << kSep << d.rule << kSep << d.message
-        << '\n';
-  }
-  for (const EnvRead& e : fi.env_reads) {
-    out << 'E' << kSep << e.line << kSep << e.name << '\n';
-  }
-  for (const GuardedVar& g : fi.guarded) {
-    out << 'G' << kSep << g.line << kSep << g.name << kSep << g.mutex << '\n';
-  }
-  for (const FunctionInfo& fn : fi.functions) {
-    out << 'U' << kSep << fn.line << kSep << fn.min_args << kSep
-        << fn.max_args << kSep << fn.name << kSep << JoinSet(fn.contracts)
-        << kSep << JoinSet(fn.suppress) << kSep << JoinSet(fn.locks) << '\n';
-    for (const Op& op : fn.ops) {
-      out << 'O' << kSep << op.kind << kSep << op.line << kSep << op.detail
-          << kSep << JoinSet(op.suppress) << '\n';
-    }
-    for (const CallSite& call : fn.calls) {
-      out << 'C' << kSep << call.line << kSep << (call.member ? 1 : 0) << kSep
-          << call.args << kSep << call.name << kSep << JoinSet(call.suppress)
-          << '\n';
-    }
-    for (const auto& [name, line] : fn.refs) {
-      out << 'R' << kSep << line << kSep << name << '\n';
-    }
-  }
-}
-
 }  // namespace
 
 void IndexFile(const SourceFile& file, FileIndex* out) {
   Indexer(file, out).Run();
-}
-
-std::uint64_t HashContent(const std::string& content) {
-  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a 64.
-  for (const char c : content) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-bool SaveIndexCache(const std::string& path, std::uint64_t config_hash,
-                    const std::map<std::string, FileIndex>& cache) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "mcmlint: cannot write cache %s\n", path.c_str());
-    return false;
-  }
-  out << kMagic << ' ' << kVersion << ' ' << config_hash << '\n';
-  for (const auto& [rel, fi] : cache) {
-    WriteFile(out, fi);
-  }
-  return static_cast<bool>(out);
-}
-
-bool LoadIndexCache(const std::string& path, std::uint64_t config_hash,
-                    std::map<std::string, FileIndex>* cache) {
-  cache->clear();
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::string header;
-  if (!std::getline(in, header)) return false;
-  {
-    std::istringstream hs(header);
-    std::string magic;
-    int version = 0;
-    std::uint64_t cfg = 0;
-    if (!(hs >> magic >> version >> cfg) || magic != kMagic ||
-        version != kVersion || cfg != config_hash) {
-      return false;
-    }
-  }
-  FileIndex* current = nullptr;
-  FunctionInfo* fn = nullptr;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const std::vector<std::string> f = SplitFields(line);
-    const std::string& tag = f[0];
-    long long a = 0;
-    const auto fail = [&]() {
-      cache->clear();
-      return false;
-    };
-    if (tag == "F") {
-      std::uint64_t hash = 0;
-      if (f.size() != 3 || !ParseUint(f[2], &hash)) return fail();
-      current = &(*cache)[f[1]];
-      current->path = f[1];
-      current->content_hash = hash;
-      fn = nullptr;
-    } else if (current == nullptr) {
-      return fail();
-    } else if (tag == "D") {
-      if (f.size() != 4 || !ParseInt(f[1], &a)) return fail();
-      current->file_diags.push_back(
-          Diagnostic{current->path, static_cast<int>(a), f[2], f[3]});
-    } else if (tag == "E") {
-      if (f.size() != 3 || !ParseInt(f[1], &a)) return fail();
-      current->env_reads.push_back(
-          EnvRead{current->path, static_cast<int>(a), f[2]});
-    } else if (tag == "G") {
-      if (f.size() != 4 || !ParseInt(f[1], &a)) return fail();
-      current->guarded.push_back(GuardedVar{f[2], f[3], static_cast<int>(a)});
-    } else if (tag == "U") {
-      long long min_args = 0, max_args = 0;
-      if (f.size() != 8 || !ParseInt(f[1], &a) || !ParseInt(f[2], &min_args) ||
-          !ParseInt(f[3], &max_args)) {
-        return fail();
-      }
-      FunctionInfo info;
-      info.line = static_cast<int>(a);
-      info.min_args = static_cast<int>(min_args);
-      info.max_args = static_cast<int>(max_args);
-      info.name = f[4];
-      info.contracts = SplitSet(f[5]);
-      info.suppress = SplitSet(f[6]);
-      info.locks = SplitSet(f[7]);
-      current->functions.push_back(std::move(info));
-      fn = &current->functions.back();
-    } else if (fn == nullptr) {
-      return fail();
-    } else if (tag == "O") {
-      long long kind = 0;
-      if (f.size() != 5 || !ParseInt(f[1], &kind) || !ParseInt(f[2], &a)) {
-        return fail();
-      }
-      Op op;
-      op.kind = static_cast<int>(kind);
-      op.line = static_cast<int>(a);
-      op.detail = f[3];
-      op.suppress = SplitSet(f[4]);
-      fn->ops.push_back(std::move(op));
-    } else if (tag == "C") {
-      long long member = 0, args = 0;
-      if (f.size() != 6 || !ParseInt(f[1], &a) || !ParseInt(f[2], &member) ||
-          !ParseInt(f[3], &args)) {
-        return fail();
-      }
-      CallSite call;
-      call.line = static_cast<int>(a);
-      call.member = member != 0;
-      call.args = static_cast<int>(args);
-      call.name = f[4];
-      call.suppress = SplitSet(f[5]);
-      fn->calls.push_back(std::move(call));
-    } else if (tag == "R") {
-      if (f.size() != 3 || !ParseInt(f[1], &a)) return fail();
-      fn->refs.emplace(f[2], static_cast<int>(a));
-    } else {
-      return fail();
-    }
-  }
-  return true;
 }
 
 }  // namespace mcmlint

@@ -23,12 +23,10 @@
 // document how they stay useful despite that.
 //
 // A FileIndex also carries the *outputs* of the per-file token rules
-// (file_diags, env_reads) so the whole record can be cached keyed by the
-// file's content hash: an incremental re-lint re-parses only changed files
-// and re-runs just the cheap cross-file passes.
+// (file_diags, env_reads), so the cross-file passes run on the index map
+// alone.
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -86,11 +84,10 @@ struct GuardedVar {
   int line = 0;
 };
 
-// Everything mcmlint knows about one file: flow-rule inputs plus the cached
+// Everything mcmlint knows about one file: flow-rule inputs plus the
 // outputs of the per-file token rules.
 struct FileIndex {
   std::string path;  // as reported in diagnostics (relative to the root)
-  std::uint64_t content_hash = 0;
   std::vector<FunctionInfo> functions;
   std::vector<GuardedVar> guarded;
   std::vector<Diagnostic> file_diags;  // per-file rules, post-suppression
@@ -100,20 +97,5 @@ struct FileIndex {
 // Fills functions/guarded from the token stream (file_diags/env_reads are
 // the caller's job -- rule scoping lives there).
 void IndexFile(const SourceFile& file, FileIndex* out);
-
-// FNV-1a over the raw bytes; the cache key.
-std::uint64_t HashContent(const std::string& content);
-
-// ---- Index cache ------------------------------------------------------------
-//
-// A single versioned file holding one FileIndex per scanned path.  Load
-// returns false (empty cache) on a missing file, version mismatch, or any
-// malformed record; `config_hash` guards against reusing per-file
-// diagnostics computed under different rule scoping.
-
-bool LoadIndexCache(const std::string& path, std::uint64_t config_hash,
-                    std::map<std::string, FileIndex>* cache);
-bool SaveIndexCache(const std::string& path, std::uint64_t config_hash,
-                    const std::map<std::string, FileIndex>& cache);
 
 }  // namespace mcmlint

@@ -4,18 +4,7 @@
 //   mcmlint --root DIR [--config FILE]   lint the configured trees; prints
 //                                        "file:line: [rule] message" per
 //                                        violation and exits nonzero if any.
-//     --cache PATH                       persist the cross-TU index keyed by
-//                                        file content hashes; unchanged
-//                                        files are not re-parsed.
-//     --incremental                      shorthand for --cache
-//                                        <root>/build/mcmlint.cache.
 //     --sarif PATH                       additionally write SARIF 2.1.0.
-//     --stats                            print parse/cache counters on
-//                                        stderr ("mcmlint-stats: ...").
-//     --bench-out PATH                   time a cold full lint and a warm
-//                                        incremental re-lint, write a
-//                                        BENCH-style report, and exit with
-//                                        the lint's status.
 //   mcmlint --expect FILE...             fixture mode: every rule (per-file
 //   mcmlint --expect-dir DIR             and flow-aware) runs on every file
 //                                        regardless of scoping, and
@@ -26,6 +15,7 @@
 // See docs/ARCHITECTURE.md ("Static analysis & determinism contract") for
 // the rule catalog, the index/taint design, and the annotation policy.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -42,8 +32,6 @@
 #include "rules.h"
 #include "runtime/thread_pool.h"
 #include "sarif.h"
-#include "telemetry/report.h"
-#include "telemetry/trace.h"
 
 namespace mcmlint {
 namespace {
@@ -119,26 +107,6 @@ LintInputs ResolveInputs(const Config& config, const fs::path& root) {
   return inputs;
 }
 
-// The index cache is only valid for the configuration that produced it: a
-// retuned rule scope changes which per-file diagnostics get cached, so the
-// config file and every resolved input participate in the key.
-std::uint64_t ConfigHash(const std::string& config_content,
-                         const LintInputs& inputs) {
-  std::string key = config_content;
-  const auto append = [&key](const std::vector<std::string>& items) {
-    for (const std::string& item : items) {
-      key += '\x1f';
-      key += item;
-    }
-    key += '\x1e';
-  };
-  append(inputs.banned);
-  append(inputs.env_functions);
-  append(inputs.env_prefixes);
-  key += inputs.env_section;
-  return HashContent(key);
-}
-
 // Runs the per-file rules (everything except the cross-file env diff and the
 // flow rules), keeping only diagnostics that survive NOLINT suppression.
 void LintFile(const SourceFile& file, const LintInputs& inputs,
@@ -163,10 +131,9 @@ void LintFile(const SourceFile& file, const LintInputs& inputs,
 // Parses one file into a FileIndex: per-file diagnostics, env reads, and the
 // flow-rule inputs (functions, ops, call sites, guarded vars).
 void BuildFileIndex(const std::string& rel, const std::string& content,
-                    std::uint64_t content_hash, const LintInputs& inputs,
-                    const Config* config, FileIndex* fi) {
+                    const LintInputs& inputs, const Config* config,
+                    FileIndex* fi) {
   fi->path = rel;
-  fi->content_hash = content_hash;
   const SourceFile file = Tokenize(rel, content);
   LintFile(file, inputs, config, rel, &fi->file_diags);
   if (config == nullptr || config->InScope("mcm-env-registry", rel)) {
@@ -181,58 +148,33 @@ void BuildFileIndex(const std::string& rel, const std::string& content,
   IndexFile(file, fi);
 }
 
-struct LintStats {
-  int files = 0;
-  int parsed = 0;
-  int cache_hits = 0;
-  int functions = 0;
-};
-
-// Lints every file in `rel_paths`, reusing entries of `*files` whose content
-// hash is unchanged and parsing the rest in parallel on the runtime pool
-// (results land in per-file slots; everything downstream iterates the sorted
-// map, so the output is identical for any thread count).  On return `*files`
-// holds exactly the current tree.
+// Lints every file in `rel_paths`, parsing them in parallel on the runtime
+// pool (results land in per-file slots; everything downstream iterates the
+// sorted map, so the output is identical for any thread count).
 bool LintTree(const fs::path& root, const Config& config,
               const LintInputs& inputs,
               const std::vector<std::string>& rel_paths,
-              std::map<std::string, FileIndex>* files, LintStats* stats) {
+              std::map<std::string, FileIndex>* files) {
   const std::size_t n = rel_paths.size();
   std::vector<FileIndex> slots(n);
-  std::vector<char> hit(n, 0);
   std::vector<char> failed(n, 0);
-  const std::map<std::string, FileIndex>& prior = *files;  // read-only below
   mcm::ParallelFor(0, static_cast<std::int64_t>(n), [&](std::int64_t i) {
-    const std::string& rel = rel_paths[static_cast<std::size_t>(i)];
+    const std::size_t k = static_cast<std::size_t>(i);
     std::string content;
-    if (!ReadFile((root / rel).string(), &content)) {
-      failed[static_cast<std::size_t>(i)] = 1;
+    if (!ReadFile((root / rel_paths[k]).string(), &content)) {
+      failed[k] = 1;
       return;
     }
-    const std::uint64_t hash = HashContent(content);
-    const auto it = prior.find(rel);
-    if (it != prior.end() && it->second.content_hash == hash) {
-      slots[static_cast<std::size_t>(i)] = it->second;
-      hit[static_cast<std::size_t>(i)] = 1;
-      return;
-    }
-    BuildFileIndex(rel, content, hash, inputs, &config,
-                   &slots[static_cast<std::size_t>(i)]);
+    BuildFileIndex(rel_paths[k], content, inputs, &config, &slots[k]);
   });
 
-  std::map<std::string, FileIndex> fresh;
   for (std::size_t i = 0; i < n; ++i) {
     if (failed[i]) {
       std::fprintf(stderr, "mcmlint: cannot read %s\n", rel_paths[i].c_str());
       return false;
     }
-    stats->files += 1;
-    stats->parsed += hit[i] ? 0 : 1;
-    stats->cache_hits += hit[i] ? 1 : 0;
-    stats->functions += static_cast<int>(slots[i].functions.size());
-    fresh[rel_paths[i]] = std::move(slots[i]);
+    (*files)[rel_paths[i]] = std::move(slots[i]);
   }
-  *files = std::move(fresh);
   return true;
 }
 
@@ -283,21 +225,11 @@ void PrintDiagnostics(std::vector<Diagnostic>& diags) {
   }
 }
 
-struct TreeOptions {
-  std::string cache_path;  // empty: no persistent cache
-  std::string sarif_path;
-  std::string bench_out;
-  bool stats = false;
-};
-
 int RunTree(const fs::path& root, const std::string& config_rel,
-            const TreeOptions& opts) {
+            const std::string& sarif_path) {
   Config config;
   if (!LoadConfig((root / config_rel).string(), &config)) return 2;
   const LintInputs inputs = ResolveInputs(config, root);
-  std::string config_content;
-  ReadFile((root / config_rel).string(), &config_content);
-  const std::uint64_t config_hash = ConfigHash(config_content, inputs);
 
   std::vector<std::string> rel_paths;
   for (const std::string& dir : config.scan_dirs) {
@@ -322,85 +254,14 @@ int RunTree(const fs::path& root, const std::string& config_rel,
   std::sort(rel_paths.begin(), rel_paths.end());
 
   std::map<std::string, FileIndex> files;
-  if (!opts.cache_path.empty()) {
-    LoadIndexCache(opts.cache_path, config_hash, &files);
-  }
-
-  LintStats stats;
-  const double lint_start = mcm::telemetry::MonotonicSeconds();
-  if (!LintTree(root, config, inputs, rel_paths, &files, &stats)) return 2;
+  if (!LintTree(root, config, inputs, rel_paths, &files)) return 2;
   std::vector<Diagnostic> diags;
   if (!CrossFilePasses(root, config, inputs, files, &diags)) return 2;
-  const double lint_seconds = mcm::telemetry::MonotonicSeconds() - lint_start;
-
-  if (!opts.cache_path.empty()) {
-    const fs::path parent = fs::path(opts.cache_path).parent_path();
-    if (!parent.empty()) {
-      std::error_code ec;
-      fs::create_directories(parent, ec);
-    }
-    SaveIndexCache(opts.cache_path, config_hash, files);
-  }
 
   PrintDiagnostics(diags);
-  if (!opts.sarif_path.empty() && !WriteSarif(opts.sarif_path, diags)) {
-    return 2;
-  }
-  if (opts.stats) {
-    std::fprintf(stderr,
-                 "mcmlint-stats: files=%d parsed=%d cache_hits=%d "
-                 "functions=%d diagnostics=%zu\n",
-                 stats.files, stats.parsed, stats.cache_hits, stats.functions,
-                 diags.size());
-  }
-
-  if (!opts.bench_out.empty()) {
-    // The run above was the cold full lint (or cache-assisted; time the cold
-    // path explicitly on a fresh map).  The warm pass re-hashes every file
-    // and reuses every index entry -- the incremental steady state.
-    std::map<std::string, FileIndex> bench_files;
-    LintStats full_stats;
-    const double full_start = mcm::telemetry::MonotonicSeconds();
-    if (!LintTree(root, config, inputs, rel_paths, &bench_files,
-                  &full_stats)) {
-      return 2;
-    }
-    std::vector<Diagnostic> full_diags;
-    if (!CrossFilePasses(root, config, inputs, bench_files, &full_diags)) {
-      return 2;
-    }
-    const double full_seconds =
-        mcm::telemetry::MonotonicSeconds() - full_start;
-
-    LintStats warm_stats;
-    const double warm_start = mcm::telemetry::MonotonicSeconds();
-    if (!LintTree(root, config, inputs, rel_paths, &bench_files,
-                  &warm_stats)) {
-      return 2;
-    }
-    std::vector<Diagnostic> warm_diags;
-    if (!CrossFilePasses(root, config, inputs, bench_files, &warm_diags)) {
-      return 2;
-    }
-    const double warm_seconds =
-        mcm::telemetry::MonotonicSeconds() - warm_start;
-
-    mcm::telemetry::RunReport report("lint");
-    report.AddPhaseSeconds("full_lint", full_seconds);
-    report.AddPhaseSeconds("incremental_relint", warm_seconds);
-    report.AddPhaseSeconds("startup_lint", lint_seconds);
-    report.SetValue("files", full_stats.files);
-    report.SetValue("functions", full_stats.functions);
-    report.SetValue("full/parsed", full_stats.parsed);
-    report.SetValue("incremental/parsed", warm_stats.parsed);
-    report.SetValue("incremental/cache_hits", warm_stats.cache_hits);
-    report.SetValue("gate/incremental_over_full_ratio",
-                    full_seconds > 0.0 ? warm_seconds / full_seconds : 0.0);
-    if (!report.Write(opts.bench_out)) return 2;
-  }
-
-  std::fprintf(stderr, "mcmlint: %d file(s) scanned, %zu violation(s)\n",
-               stats.files, diags.size());
+  if (!sarif_path.empty() && !WriteSarif(sarif_path, diags)) return 2;
+  std::fprintf(stderr, "mcmlint: %zu file(s) scanned, %zu violation(s)\n",
+               files.size(), diags.size());
   return diags.empty() ? 0 : 1;
 }
 
@@ -459,8 +320,7 @@ int RunExpect(const std::vector<std::string>& paths) {
       continue;
     }
     FileIndex fi;
-    BuildFileIndex(path, content, HashContent(content), inputs,
-                   /*config=*/nullptr, &fi);
+    BuildFileIndex(path, content, inputs, /*config=*/nullptr, &fi);
     diags.insert(diags.end(), fi.file_diags.begin(), fi.file_diags.end());
     env_reads.insert(env_reads.end(), fi.env_reads.begin(),
                      fi.env_reads.end());
@@ -503,9 +363,7 @@ int RunExpect(const std::vector<std::string>& paths) {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: mcmlint --root DIR [--config FILE] [--cache PATH | "
-               "--incremental]\n"
-               "               [--sarif PATH] [--stats] [--bench-out PATH]\n"
+               "usage: mcmlint --root DIR [--config FILE] [--sarif PATH]\n"
                "       mcmlint --expect FILE...\n"
                "       mcmlint --expect-dir DIR\n"
                "       mcmlint --list-rules\n");
@@ -517,8 +375,7 @@ int Main(int argc, char** argv) {
   std::string config_rel = "tools/mcmlint/mcmlint.conf";
   std::vector<std::string> expect_files;
   bool expect_mode = false;
-  bool incremental = false;
-  TreeOptions opts;
+  std::string sarif_path;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -530,16 +387,8 @@ int Main(int argc, char** argv) {
       root = argv[++i];
     } else if (arg == "--config" && i + 1 < argc) {
       config_rel = argv[++i];
-    } else if (arg == "--cache" && i + 1 < argc) {
-      opts.cache_path = argv[++i];
-    } else if (arg == "--incremental") {
-      incremental = true;
     } else if (arg == "--sarif" && i + 1 < argc) {
-      opts.sarif_path = argv[++i];
-    } else if (arg == "--stats") {
-      opts.stats = true;
-    } else if (arg == "--bench-out" && i + 1 < argc) {
-      opts.bench_out = argv[++i];
+      sarif_path = argv[++i];
     } else if (arg == "--expect") {
       expect_mode = true;
       while (i + 1 < argc) expect_files.push_back(argv[++i]);
@@ -567,10 +416,7 @@ int Main(int argc, char** argv) {
     std::sort(expect_files.begin(), expect_files.end());
     return RunExpect(expect_files);
   }
-  if (incremental && opts.cache_path.empty()) {
-    opts.cache_path = (fs::path(root) / "build" / "mcmlint.cache").string();
-  }
-  return RunTree(fs::path(root), config_rel, opts);
+  return RunTree(fs::path(root), config_rel, sarif_path);
 }
 
 }  // namespace
