@@ -34,18 +34,13 @@ bool AdmissionQueue::TryPush(QueuedRequest item) {
   return true;
 }
 
-std::vector<QueuedRequest> AdmissionQueue::PopBatch(std::size_t max_batch) {
+bool AdmissionQueue::Pop(QueuedRequest* item) {
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait(lock, [this] { return closed_ || !queue_.empty(); });
-  std::vector<QueuedRequest> batch;
-  const std::size_t take =
-      std::min(std::max<std::size_t>(max_batch, 1), queue_.size());
-  batch.reserve(take);
-  for (std::size_t i = 0; i < take; ++i) {
-    batch.push_back(std::move(queue_.front()));
-    queue_.pop_front();
-  }
-  return batch;  // Empty only when closed and drained.
+  if (queue_.empty()) return false;  // Closed and drained.
+  *item = std::move(queue_.front());
+  queue_.pop_front();
+  return true;
 }
 
 void AdmissionQueue::Close() {

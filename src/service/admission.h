@@ -1,14 +1,13 @@
 // Admission control for the partition service: a bounded MPMC request
 // queue with reject-on-full backpressure.
 //
-// The event loop pushes parsed requests; batch executors pop groups of
-// them.  When the queue is at depth, TryPush refuses and the caller sends
-// the client a reject-with-retry-after response instead of queueing
-// unbounded work -- overload sheds load at the front door rather than
-// growing latency without bound.  Closing the queue (graceful drain) stops
-// admissions immediately while letting poppers empty what was already
-// admitted; PopBatch returns an empty batch exactly once the queue is both
-// closed and empty.
+// The event loop pushes parsed requests; executors pop them one at a time.
+// When the queue is at depth, TryPush refuses and the caller sends the
+// client a reject-with-retry-after response instead of queueing unbounded
+// work -- overload sheds load at the front door rather than growing latency
+// without bound.  Closing the queue (graceful drain) stops admissions
+// immediately while letting poppers empty what was already admitted; Pop
+// returns false exactly once the queue is both closed and empty.
 //
 // Telemetry: service/admitted, service/rejected.
 #pragma once
@@ -18,7 +17,6 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
-#include <vector>
 
 #include "service/protocol.h"
 
@@ -45,13 +43,13 @@ class AdmissionQueue {
   // Admits `item` unless the queue is full or closed.  Never blocks.
   bool TryPush(QueuedRequest item);
 
-  // Pops up to `max_batch` requests in admission order, blocking while the
-  // queue is empty and open.  Returns an empty vector only when the queue
-  // is closed and fully drained (the executor's stop signal).
-  std::vector<QueuedRequest> PopBatch(std::size_t max_batch);
+  // Pops the oldest request into *item, blocking while the queue is empty
+  // and open.  Returns false only when the queue is closed and fully
+  // drained (the executor's stop signal).
+  bool Pop(QueuedRequest* item);
 
   // Stops admissions and wakes blocked poppers; already-admitted requests
-  // still drain through PopBatch.
+  // still drain through Pop.
   void Close();
 
   std::size_t depth() const { return depth_; }

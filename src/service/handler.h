@@ -11,8 +11,7 @@
 // `request.seed` exactly as the CLI derives its streams from `--seed`, all
 // state (graph context, cost models, environment, policy) is private to the
 // call, and telemetry is write-only.  Many requests may therefore execute
-// concurrently -- batched, cached, or rerun -- without changing a single
-// output bit.
+// concurrently -- cached or rerun -- without changing a single output bit.
 //
 // Per-request deadlines (`deadline_ms`) are wired into the two budgeted
 // subsystems:

@@ -56,7 +56,6 @@ void PlacementCache::Insert(const std::string& key,
   PartitionResponse stored = response;
   stored.id.clear();       // Correlation ids are per-request.
   stored.cached = false;   // Lookup() re-marks served copies.
-  stored.batch_size = 1;   // Batch shape is an execution detail.
   lru_.emplace_front(key, std::move(stored));
   index_[key] = lru_.begin();
   if (lru_.size() > capacity_) {

@@ -10,7 +10,7 @@
 // function of exactly those fields (the serving determinism contract,
 // docs/ARCHITECTURE.md), a hit is bit-identical to a fresh execution.
 //
-// Eviction is strict LRU.  Thread-safe: the server's batch executors probe
+// Eviction is strict LRU.  Thread-safe: the server's executors probe
 // and fill concurrently.  Capacity comes from MCMPART_SERVICE_CACHE
 // (entries; 0 disables) unless the server overrides it.
 //

@@ -137,7 +137,7 @@ struct PartitionResponse {
   double throughput = 0.0;
   double baseline_runtime_s = 0.0;
   bool cached = false;          // Served from the placement cache.
-  int batch_size = 1;           // Size of the executed micro-batch.
+  int batch_size = 1;           // Always 1; kept for wire compatibility.
 
   friend bool operator==(const PartitionResponse&,
                          const PartitionResponse&) = default;

@@ -6,17 +6,15 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <csignal>
 #include <cstring>
 #include <stdexcept>
-#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "common/logging.h"
-#include "service/batcher.h"
 #include "telemetry/metrics.h"
 #include "telemetry/report.h"
 #include "telemetry/trace.h"
@@ -61,8 +59,7 @@ Server::Server(ServerConfig config, const ServingPolicy* warm_start)
   if (config_.cache_capacity < 0) {
     config_.cache_capacity = DefaultPlacementCacheCapacity();
   }
-  config_.executors = std::max(config_.executors, 1);
-  config_.max_batch = std::max(config_.max_batch, 1);
+  if (config_.executors <= 0) config_.executors = DefaultThreadCount() + 1;
   queue_ = std::make_unique<AdmissionQueue>(
       static_cast<std::size_t>(config_.queue_depth));
   if (config_.cache_capacity > 0) {
@@ -161,27 +158,24 @@ void Server::WakeLoop() {
 }
 
 void Server::ExecutorLoop() {
-  MicroBatcher batcher(DefaultPool(), cache_.get(), warm_start_);
-  while (true) {
-    std::vector<QueuedRequest> group =
-        queue_->PopBatch(static_cast<std::size_t>(config_.max_batch));
-    if (group.empty()) return;  // Closed and drained.
-    for (auto& batch : FormBatches(
-             std::move(group), static_cast<std::size_t>(config_.max_batch))) {
-      std::vector<PartitionResponse> responses = batcher.ExecuteBatch(batch);
-      Deliver(batch, std::move(responses));
+  QueuedRequest item;
+  while (queue_->Pop(&item)) {
+    const std::string key = RequestCacheKey(item.request);
+    PartitionResponse response;
+    if (cache_ == nullptr ||
+        !cache_->Lookup(key, item.request.id, &response)) {
+      response = ExecutePartitionRequest(item.request, warm_start_);
+      if (cache_ != nullptr) cache_->Insert(key, response);
     }
+    Deliver(item, std::move(response));
   }
 }
 
-void Server::Deliver(const std::vector<QueuedRequest>& batch,
-                     std::vector<PartitionResponse> responses) {
+void Server::Deliver(const QueuedRequest& item, PartitionResponse response) {
   {
     std::lock_guard<std::mutex> lock(outbox_mu_);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      outbox_.push_back(Outcome{batch[i].connection_id, batch[i].admitted_s,
-                                std::move(responses[i])});
-    }
+    outbox_.push_back(
+        Outcome{item.connection_id, item.admitted_s, std::move(response)});
   }
   WakeLoop();
 }
@@ -223,8 +217,9 @@ void Server::QueueResponse(Connection& conn,
 
 void Server::FlushWrites(Connection& conn) {
   while (!conn.write_buffer.empty()) {
-    const ssize_t n = write(conn.fd, conn.write_buffer.data(),
-                            conn.write_buffer.size());
+    // MSG_NOSIGNAL: a peer that hung up is an EPIPE here, not a SIGPIPE.
+    const ssize_t n = send(conn.fd, conn.write_buffer.data(),
+                           conn.write_buffer.size(), MSG_NOSIGNAL);
     if (n > 0) {
       conn.write_buffer.erase(0, static_cast<std::size_t>(n));
       continue;
@@ -273,20 +268,30 @@ void Server::HandleReadable(Connection& conn) {
   static telemetry::Counter& protocol_errors =
       telemetry::Counter::Get("service/protocol_errors");
   char chunk[4096];
-  // Complete lines are consumed below, so on entry the whole buffer is the
-  // newline-free tail of the current line.
-  std::size_t tail = conn.read_buffer.size();
-  bool too_long = false;
-  while (true) {
+  // A connection holding kMaxRequestLineBytes of unsent responses is not
+  // read from until they drain (poll is level-triggered, so its input waits
+  // in the socket); only the drain's final pass reads everything.
+  while (draining_ || conn.write_buffer.size() < kMaxRequestLineBytes) {
     const ssize_t n = read(conn.fd, chunk, sizeof(chunk));
     if (n > 0) {
-      const std::size_t len = static_cast<std::size_t>(n);
-      conn.read_buffer.append(chunk, len);
-      const std::size_t newline = std::string_view(chunk, len).rfind('\n');
-      tail = newline == std::string_view::npos ? tail + len
-                                               : len - newline - 1;
-      if (tail > kMaxRequestLineBytes) {
-        too_long = true;
+      // Complete lines are consumed per chunk, so the buffer holds no '\n'
+      // before the new bytes and never more than one line.
+      std::size_t newline = conn.read_buffer.size();
+      std::size_t start = 0;
+      conn.read_buffer.append(chunk, static_cast<std::size_t>(n));
+      while ((newline = conn.read_buffer.find('\n', newline)) !=
+             std::string::npos) {
+        HandleLine(conn, conn.read_buffer.substr(start, newline - start));
+        start = ++newline;
+      }
+      conn.read_buffer.erase(0, start);
+      if (conn.read_buffer.size() > kMaxRequestLineBytes) {
+        // Refuse the line and stop reading; the loop closes the connection
+        // once its admitted requests are delivered.
+        protocol_errors.Add();
+        std::string().swap(conn.read_buffer);
+        QueueResponse(conn, MakeErrorResponse("", "request line too long"));
+        conn.peer_closed = true;
         break;
       }
       continue;
@@ -294,22 +299,6 @@ void Server::HandleReadable(Connection& conn) {
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
     conn.peer_closed = true;  // EOF or hard error.
     break;
-  }
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t newline = conn.read_buffer.find('\n', start);
-    if (newline == std::string::npos) break;
-    HandleLine(conn, conn.read_buffer.substr(start, newline - start));
-    start = newline + 1;
-  }
-  conn.read_buffer.erase(0, start);
-  if (too_long) {
-    // Refuse the line and stop reading; the loop closes the connection once
-    // its admitted requests are delivered.
-    protocol_errors.Add();
-    std::string().swap(conn.read_buffer);
-    QueueResponse(conn, MakeErrorResponse("", "request line too long"));
-    conn.peer_closed = true;
   }
   FlushWrites(conn);
 }
@@ -399,7 +388,11 @@ void Server::Run() {
     }
     for (auto& [id, conn] : connections_) {
       short events = 0;
-      if (!draining_ && !conn.peer_closed) events |= POLLIN;
+      // Matches HandleReadable's write-buffer bound.
+      if (!draining_ && !conn.peer_closed &&
+          conn.write_buffer.size() < kMaxRequestLineBytes) {
+        events |= POLLIN;
+      }
       if (!conn.write_buffer.empty()) events |= POLLOUT;
       if (events == 0) continue;
       fds.push_back(pollfd{conn.fd, events, 0});
@@ -450,7 +443,6 @@ void Server::WriteReport(double started_s) {
   report.SetValue("drained", static_cast<double>(drained_));
   report.SetValue("queue_depth", static_cast<double>(config_.queue_depth));
   report.SetValue("executors", static_cast<double>(config_.executors));
-  report.SetValue("max_batch", static_cast<double>(config_.max_batch));
   report.SetString("socket", config_.socket_path);
   report.Write(config_.report_path);
 }

@@ -4,12 +4,12 @@
 // domain socket, reads newline-delimited JSON requests, admits them to the
 // bounded AdmissionQueue (rejecting with a retry-after hint when full), and
 // writes responses back.  Execution happens off the loop: `executors`
-// long-running tasks on a server-owned runtime ThreadPool pop request
-// groups from the queue, micro-batch them (batcher.h), run them on the
-// process-default runtime pool, and hand finished responses back to the
-// loop through a mutex-protected outbox plus a self-pipe wake-up.  Sockets
-// are therefore only ever touched by the loop thread; executors never
-// block the loop and the loop never blocks on execution.
+// long-running tasks on a server-owned runtime ThreadPool each pop one
+// request at a time, answer it from the placement cache or run it through
+// ExecutePartitionRequest (filling the cache), and hand the response back
+// to the loop through a mutex-protected outbox plus a self-pipe wake-up.
+// Sockets are therefore only ever touched by the loop thread; executors
+// never block the loop and the loop never blocks on execution.
 //
 // Graceful drain: Shutdown() (or SIGTERM/SIGINT via InstallSignalHandlers,
 // whose handlers only set an atomic flag and write one byte to the wake
@@ -24,8 +24,8 @@
 // Determinism: the daemon adds no decision points of its own -- every
 // response is produced by ExecutePartitionRequest (handler.h), a pure
 // function of the request, so a served placement is bit-identical to the
-// same request run through the offline CLI regardless of batching,
-// caching, concurrency, or load.
+// same request run through the offline CLI regardless of caching,
+// concurrency, or load.
 #pragma once
 
 #include <atomic>
@@ -36,7 +36,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "runtime/thread_pool.h"
 #include "service/admission.h"
@@ -49,15 +48,17 @@ namespace mcm::service {
 // A request line longer than this gets a "request line too long" error and
 // its connection is closed, so a client that never sends '\n' cannot grow
 // the daemon's memory without bound.  The largest legitimate request, the
-// serialized BERT graph, is about 149 KB.
+// serialized BERT graph, is about 149 KB.  The same cap bounds a
+// connection's unsent responses: while that many bytes wait, the loop stops
+// reading the connection, so a client that pipelines requests without
+// reading the responses stalls instead of growing the daemon.
 inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{16} << 20;
 
 struct ServerConfig {
   std::string socket_path;
   int queue_depth = 0;      // <= 0: DefaultServiceQueueDepth().
   int cache_capacity = -1;  // < 0: DefaultPlacementCacheCapacity().
-  int executors = 2;        // Concurrent batch executors, clamped to >= 1.
-  int max_batch = 8;        // Micro-batch size cap, clamped to >= 1.
+  int executors = 0;        // <= 0: DefaultThreadCount() + 1.
   std::string report_path;  // RunReport written on drain; empty = none.
 };
 
@@ -111,8 +112,7 @@ class Server {
   };
 
   void ExecutorLoop();
-  void Deliver(const std::vector<QueuedRequest>& batch,
-               std::vector<PartitionResponse> responses);
+  void Deliver(const QueuedRequest& item, PartitionResponse response);
   void WakeLoop();
   void DrainOutbox();
   void HandleReadable(Connection& conn);

@@ -286,7 +286,6 @@ void RegisterStandardMetrics() {
       "search/random_samples",
       "search/sa_proposals",
       "service/admitted",
-      "service/batches",
       "service/cache_evictions",
       "service/cache_hits",
       "service/cache_misses",

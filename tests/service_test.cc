@@ -1,9 +1,11 @@
 // Tests for the partition service: wire protocol round-trips, admission
-// control, micro-batching determinism, the placement cache, the daemon's
-// graceful drain, and the serving determinism contract (served placements
-// are bit-identical to the same request run offline).
+// control, the placement cache, the daemon's graceful drain and buffer
+// bounds, and the serving determinism contract (served placements are
+// bit-identical to the same request run offline).
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/un.h>
@@ -23,7 +25,6 @@
 #include "graph/graph.h"
 #include "runtime/thread_pool.h"
 #include "service/admission.h"
-#include "service/batcher.h"
 #include "service/handler.h"
 #include "service/placement_cache.h"
 #include "service/protocol.h"
@@ -193,11 +194,12 @@ TEST(AdmissionQueueTest, RejectsWhenFull) {
   EXPECT_EQ(queue.size(), 2u);
 
   // Popping frees room again.
-  EXPECT_EQ(queue.PopBatch(1).size(), 1u);
+  QueuedRequest popped;
+  EXPECT_TRUE(queue.Pop(&popped));
   EXPECT_TRUE(queue.TryPush(item));
 }
 
-TEST(AdmissionQueueTest, PopBatchDrainsInAdmissionOrderThenStops) {
+TEST(AdmissionQueueTest, PopDrainsInAdmissionOrderThenStops) {
   AdmissionQueue queue(8);
   for (int i = 0; i < 5; ++i) {
     QueuedRequest item;
@@ -208,12 +210,12 @@ TEST(AdmissionQueueTest, PopBatchDrainsInAdmissionOrderThenStops) {
   queue.Close();
   EXPECT_FALSE(queue.TryPush(QueuedRequest{})) << "closed queue rejects";
 
-  const std::vector<QueuedRequest> first = queue.PopBatch(3);
-  ASSERT_EQ(first.size(), 3u);
-  EXPECT_EQ(first[0].sequence, 0);
-  EXPECT_EQ(first[2].sequence, 2);
-  EXPECT_EQ(queue.PopBatch(16).size(), 2u);
-  EXPECT_TRUE(queue.PopBatch(16).empty()) << "closed + drained: stop signal";
+  QueuedRequest item;
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(queue.Pop(&item));
+    EXPECT_EQ(item.sequence, i);
+  }
+  EXPECT_FALSE(queue.Pop(&item)) << "closed + drained: stop signal";
 }
 
 TEST(AdmissionQueueTest, RetryAfterHintIsDeterministicAndBounded) {
@@ -286,131 +288,7 @@ TEST(HandlerTest, CheckpointShapeConfigRejectsUnknownShape) {
   EXPECT_THROW(CheckpointShapeConfig("bogus", 8), std::runtime_error);
 }
 
-// ---- Micro-batcher ----------------------------------------------------------
-
-TEST(BatcherTest, FormBatchesCoalescesCompatibleRuns) {
-  std::vector<QueuedRequest> items;
-  auto push = [&](RequestMode mode, int chips) {
-    QueuedRequest item;
-    item.request = SmallRequest(items.size() + 1, mode);
-    item.request.chips = chips;
-    items.push_back(std::move(item));
-  };
-  push(RequestMode::kZeroShot, 4);
-  push(RequestMode::kZeroShot, 4);   // Coalesces with the first.
-  push(RequestMode::kZeroShot, 8);   // Different shape: new batch.
-  push(RequestMode::kFinetune, 8);   // Heavy mode: singleton.
-  push(RequestMode::kFinetune, 8);   // Still a singleton.
-  push(RequestMode::kSolver, 4);
-
-  const auto batches = FormBatches(items, 8);
-  ASSERT_EQ(batches.size(), 5u);
-  EXPECT_EQ(batches[0].size(), 2u);
-  EXPECT_EQ(batches[1].size(), 1u);
-  EXPECT_EQ(batches[2].size(), 1u);
-  EXPECT_EQ(batches[3].size(), 1u);
-  EXPECT_EQ(batches[4].size(), 1u);
-  // Admission order is preserved across the split.
-  EXPECT_EQ(batches[0][1].request.id, items[1].request.id);
-  EXPECT_EQ(batches[4][0].request.id, items[5].request.id);
-}
-
-TEST(BatcherTest, FormBatchesHonorsMaxBatch) {
-  std::vector<QueuedRequest> items;
-  for (int i = 0; i < 7; ++i) {
-    QueuedRequest item;
-    item.request = SmallRequest(static_cast<std::uint64_t>(i),
-                                RequestMode::kZeroShot);
-    items.push_back(std::move(item));
-  }
-  const auto batches = FormBatches(items, 3);
-  ASSERT_EQ(batches.size(), 3u);
-  EXPECT_EQ(batches[0].size(), 3u);
-  EXPECT_EQ(batches[1].size(), 3u);
-  EXPECT_EQ(batches[2].size(), 1u);
-}
-
-TEST(BatcherTest, BatchedExecutionIsBitIdenticalToUnbatched) {
-  ThreadPool pool(4);
-  MicroBatcher batcher(pool, /*cache=*/nullptr, /*warm_start=*/nullptr);
-
-  std::vector<QueuedRequest> batch;
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    QueuedRequest item;
-    item.request = SmallRequest(seed, RequestMode::kZeroShot);
-    batch.push_back(std::move(item));
-  }
-  const std::vector<PartitionResponse> batched = batcher.ExecuteBatch(batch);
-  ASSERT_EQ(batched.size(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const PartitionResponse solo =
-        ExecutePartitionRequest(batch[i].request, nullptr);
-    ASSERT_TRUE(batched[i].ok) << batched[i].error;
-    EXPECT_EQ(batched[i].batch_size, 5);
-    EXPECT_EQ(Normalized(batched[i]), Normalized(solo))
-        << "request " << i << " differs between batched and solo execution";
-  }
-}
-
-TEST(BatcherTest, DuplicateRequestsExecuteOnceAndShareTheResult) {
-  ThreadPool pool(2);
-  PlacementCache cache(16);
-  MicroBatcher batcher(pool, &cache, nullptr);
-
-  std::vector<QueuedRequest> batch;
-  for (int i = 0; i < 4; ++i) {
-    QueuedRequest item;
-    item.request = SmallRequest(9, RequestMode::kSolver);  // Identical work.
-    item.request.id = "dup" + std::to_string(i);
-    batch.push_back(std::move(item));
-  }
-  const std::int64_t executed_before =
-      telemetry::Counter::Get("service/executed").Value();
-  const std::vector<PartitionResponse> responses =
-      batcher.ExecuteBatch(batch);
-  const std::int64_t executed_after =
-      telemetry::Counter::Get("service/executed").Value();
-  EXPECT_EQ(executed_after - executed_before, 1)
-      << "four identical requests must collapse to one execution";
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(responses[static_cast<std::size_t>(i)].ok);
-    EXPECT_EQ(responses[static_cast<std::size_t>(i)].id,
-              "dup" + std::to_string(i));
-    EXPECT_EQ(Normalized(responses[static_cast<std::size_t>(i)]),
-              Normalized(responses[0]));
-  }
-}
-
 // ---- Placement cache --------------------------------------------------------
-
-TEST(PlacementCacheTest, HitReturnsIdenticalPlacementWithoutReEvaluation) {
-  ThreadPool pool(2);
-  PlacementCache cache(8);
-  MicroBatcher batcher(pool, &cache, nullptr);
-
-  QueuedRequest item;
-  item.request = SmallRequest(21, RequestMode::kSearch);
-  const std::vector<PartitionResponse> first =
-      batcher.ExecuteBatch({item});
-  ASSERT_TRUE(first[0].ok);
-  EXPECT_FALSE(first[0].cached);
-
-  item.request.id = "second-call";
-  const std::int64_t executed_before =
-      telemetry::Counter::Get("service/executed").Value();
-  const std::vector<PartitionResponse> second =
-      batcher.ExecuteBatch({item});
-  const std::int64_t executed_after =
-      telemetry::Counter::Get("service/executed").Value();
-  EXPECT_EQ(executed_after, executed_before)
-      << "a cache hit must not re-execute the request";
-  ASSERT_TRUE(second[0].ok);
-  EXPECT_TRUE(second[0].cached);
-  EXPECT_EQ(second[0].id, "second-call") << "hit re-stamps the caller's id";
-  EXPECT_EQ(Normalized(second[0]), Normalized(first[0]))
-      << "cached placement must be bit-identical to the original";
-  EXPECT_EQ(cache.hits(), 1);
-}
 
 TEST(PlacementCacheTest, EvictsLeastRecentlyUsed) {
   PlacementCache cache(2);
@@ -477,6 +355,25 @@ class ServerFixture {
   std::thread thread_;
 };
 
+// A plain socket connected to the daemon, for tests that speak raw bytes.
+int ConnectRaw(const std::string& socket_path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, socket_path.c_str(), sizeof(addr.sun_path) - 1);
+  const int fd = socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd >= 0 && connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                         sizeof(addr)) != 0) {
+    close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+TEST(ServerTest, DefaultExecutorsAreOneMoreThanTheDefaultThreads) {
+  const Server server(ServerConfig{});
+  EXPECT_EQ(server.config().executors, DefaultThreadCount() + 1);
+}
+
 TEST(ServerTest, ServesRequestsOverUnixSocket) {
   ServerFixture fixture(ServerConfig{});
   ServiceClient client(fixture.socket_path());
@@ -488,19 +385,47 @@ TEST(ServerTest, ServesRequestsOverUnixSocket) {
 }
 
 TEST(ServerTest, ServedPlacementIsBitIdenticalToOfflineExecution) {
+  for (const int executors : {0, 1}) {  // The default count, then one.
+    ServerConfig config;
+    config.executors = executors;
+    ServerFixture fixture(config);
+    ServiceClient client(fixture.socket_path());
+    for (const RequestMode mode :
+         {RequestMode::kSolver, RequestMode::kSearch,
+          RequestMode::kZeroShot}) {
+      const PartitionRequest request = SmallRequest(37, mode);
+      const PartitionResponse served = client.Call(request);
+      const PartitionResponse offline =
+          ExecutePartitionRequest(request, nullptr);
+      ASSERT_TRUE(served.ok) << served.error;
+      EXPECT_EQ(Normalized(served), Normalized(offline))
+          << "executors " << executors << ", mode " << RequestModeName(mode);
+    }
+  }
+}
+
+TEST(PlacementCacheTest, HitReturnsIdenticalPlacementWithoutReEvaluation) {
   ServerFixture fixture(ServerConfig{});
   ServiceClient client(fixture.socket_path());
-  for (const RequestMode mode :
-       {RequestMode::kSolver, RequestMode::kSearch,
-        RequestMode::kZeroShot}) {
-    const PartitionRequest request = SmallRequest(37, mode);
-    const PartitionResponse served = client.Call(request);
-    const PartitionResponse offline =
-        ExecutePartitionRequest(request, nullptr);
-    ASSERT_TRUE(served.ok) << served.error;
-    EXPECT_EQ(Normalized(served), Normalized(offline))
-        << "mode " << RequestModeName(mode);
-  }
+  PartitionRequest request = SmallRequest(21, RequestMode::kSearch);
+  const PartitionResponse first = client.Call(request);
+  ASSERT_TRUE(first.ok) << first.error;
+  EXPECT_FALSE(first.cached);
+
+  request.id = "second-call";
+  const std::int64_t executed_before =
+      telemetry::Counter::Get("service/executed").Value();
+  const PartitionResponse second = client.Call(request);
+  const std::int64_t executed_after =
+      telemetry::Counter::Get("service/executed").Value();
+  EXPECT_EQ(executed_after, executed_before)
+      << "a cache hit must not re-execute the request";
+  ASSERT_TRUE(second.ok) << second.error;
+  EXPECT_TRUE(second.cached);
+  EXPECT_EQ(second.id, "second-call") << "hit re-stamps the caller's id";
+  EXPECT_EQ(Normalized(second), Normalized(first))
+      << "cached placement must be bit-identical to the original";
+  EXPECT_EQ(fixture.server().cache()->hits(), 1);
 }
 
 TEST(ServerTest, MalformedLineGetsAnErrorResponseNotADisconnect) {
@@ -537,15 +462,8 @@ TEST(ServerTest, HostileGraphGetsAnErrorResponseNotAnAbort) {
 
 TEST(ServerTest, OverlongLineGetsAnErrorAndACloseThenServerKeepsServing) {
   ServerFixture fixture(ServerConfig{});
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, fixture.socket_path().c_str(),
-               sizeof(addr.sun_path) - 1);
-  const int fd = socket(AF_UNIX, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  ASSERT_EQ(connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                    sizeof(addr)),
-            0);
+  const int fd = ConnectRaw(fixture.socket_path());
+  ASSERT_GE(fd, 0) << std::strerror(errno);
   // Without the cap the server would never answer; fail instead of hang.
   const timeval timeout{30, 0};
   ASSERT_EQ(setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)),
@@ -585,6 +503,42 @@ TEST(ServerTest, OverlongLineGetsAnErrorAndACloseThenServerKeepsServing) {
   ServiceClient client(fixture.socket_path());
   const PartitionResponse good = client.Call(SmallRequest(3));
   EXPECT_TRUE(good.ok) << good.error;
+}
+
+TEST(ServerTest, ClientThatNeverReadsStallsWithoutStarvingOthers) {
+  ServerFixture fixture(ServerConfig{});
+  const int fd = ConnectRaw(fixture.socket_path());
+  ASSERT_GE(fd, 0) << std::strerror(errno);
+  ASSERT_EQ(fcntl(fd, F_SETFL, O_NONBLOCK), 0);
+
+  // Pipeline malformed lines and never read the error responses.  Each
+  // response is far longer than its line, so the server reaches
+  // kMaxRequestLineBytes of unsent responses after about 1 MB of input,
+  // stops reading, and the socket buffers fill: the writes must stall well
+  // before kSendLimit.
+  constexpr std::size_t kSendLimit = std::size_t{8} << 20;
+  std::string lines;
+  for (int i = 0; i < 4096; ++i) lines += "x\n";
+  std::size_t sent = 0;
+  bool stalled = false;
+  while (!stalled && sent < kSendLimit) {
+    const ssize_t n = send(fd, lines.data(), lines.size(), MSG_NOSIGNAL);
+    if (n > 0) {
+      sent += static_cast<std::size_t>(n);
+      continue;
+    }
+    ASSERT_TRUE(n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK ||
+                          errno == EINTR))
+        << std::strerror(errno);
+    pollfd writable{fd, POLLOUT, 0};
+    stalled = poll(&writable, 1, /*timeout_ms=*/1000) == 0;
+  }
+  EXPECT_TRUE(stalled) << "sent " << sent << " bytes without stalling";
+
+  ServiceClient client(fixture.socket_path());
+  const PartitionResponse good = client.Call(SmallRequest(4));
+  EXPECT_TRUE(good.ok) << good.error;
+  close(fd);  // Lets the drain finish: its responses are abandoned.
 }
 
 TEST(ServerTest, SecondServerInTheProcessServesUntilItsOwnShutdown) {
@@ -647,7 +601,6 @@ TEST(ServerTest, QueueFullRejectsWithRetryAfter) {
   ServerConfig config;
   config.queue_depth = 1;
   config.executors = 1;
-  config.max_batch = 1;
   config.cache_capacity = 0;
   ServerFixture fixture(config);
   ServiceClient client(fixture.socket_path());

@@ -41,8 +41,8 @@
 //                      MCMPART_SERVICE_QUEUE_DEPTH env, else 128)
 //     --cache N        placement-cache entries (default:
 //                      MCMPART_SERVICE_CACHE env, else 256; 0 disables)
-//     --executors N    concurrent batch executors         (default 2)
-//     --max-batch N    micro-batch size cap               (default 8)
+//     --executors N    concurrent request executors (default: worker
+//                      threads + 1)
 //     --checkpoint F / --checkpoint-shape S / --chips N
 //                      pre-trained policy served to zeroshot/finetune
 //                      requests (--chips must match the checkpoint)
@@ -128,7 +128,7 @@ int Usage() {
                " [--threads N] [--nn-threads N] [--eval-cache N]"
                " [--out FILE]\n"
                "       mcmpart serve --socket PATH [--queue-depth N]"
-               " [--cache N] [--executors N] [--max-batch N] [--checkpoint F]"
+               " [--cache N] [--executors N] [--checkpoint F]"
                " [--checkpoint-shape quick|pretrain] [--chips N] [--threads N]"
                " [--nn-threads N] [--metrics-out FILE]\n"
                "       mcmpart request <in.graph> --socket PATH [--id ID]"
@@ -320,7 +320,6 @@ int RunServe(int argc, char** argv) {
     else if (arg == "--queue-depth") config.queue_depth = std::stoi(next());
     else if (arg == "--cache") config.cache_capacity = std::stoi(next());
     else if (arg == "--executors") config.executors = std::stoi(next());
-    else if (arg == "--max-batch") config.max_batch = std::stoi(next());
     else if (arg == "--chips") chips = std::stoi(next());
     else if (arg == "--checkpoint") checkpoint_path = next();
     else if (arg == "--checkpoint-shape") checkpoint_shape = next();
