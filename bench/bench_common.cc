@@ -127,17 +127,12 @@ void InitBenchRuntime(int argc, char** argv) {
     } else if (std::string(argv[i]) == "--nn-threads" && i + 1 < argc) {
       SetNnThreadCount(std::stoi(argv[i + 1]));
       ++i;
-    } else if (std::string(argv[i]) == "--eval-cache" && i + 1 < argc) {
-      SetDefaultEvalCacheCapacity(std::stoi(argv[i + 1]));
-      ++i;
     }
   }
   std::printf("# runtime: %d worker threads (override with --threads N or "
               "MCMPART_THREADS), %d NN kernel threads (--nn-threads N or "
-              "MCMPART_NN_THREADS; 0 inherits --threads), eval cache %d "
-              "entries (--eval-cache N or MCMPART_EVAL_CACHE; 0 disables)\n",
-              DefaultThreadCount(), NnThreadCount(),
-              DefaultEvalCacheCapacity());
+              "MCMPART_NN_THREADS; 0 inherits --threads)\n",
+              DefaultThreadCount(), NnThreadCount());
 }
 
 telemetry::RunReport MakeBenchReport(std::string_view name) {

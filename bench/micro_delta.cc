@@ -244,9 +244,7 @@ void MeasureHillClimbRatio(telemetry::RunReport& report, const Graph& graph,
   double best_rewards[2] = {0.0, 0.0};
   for (int i = 0; i < 2; ++i) {
     GraphContext context(graph, kChips);
-    PartitionEnv env(graph, *models[i], baseline.eval.runtime_s,
-                     PartitionEnv::Objective::kThroughput,
-                     /*eval_cache_capacity=*/0);
+    PartitionEnv env(graph, *models[i], baseline.eval.runtime_s);
     HillClimbSearch search{Rng(9)};
     const double start = telemetry::MonotonicSeconds();
     traces[i] = search.Run(context, env, budget);

@@ -1,7 +1,6 @@
 #include "graph/graph.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <ostream>
 #include <queue>
@@ -10,12 +9,6 @@
 #include "common/logging.h"
 
 namespace mcm {
-
-std::uint64_t NextGraphUid() {
-  // Starts at 1 so 0 stays available as "no graph bound" in cache keys.
-  static std::atomic<std::uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
 
 std::string_view OpTypeName(OpType op) {
   switch (op) {
@@ -53,7 +46,6 @@ int Graph::AddNode(OpType op, std::string name, double compute_flops,
                         param_bytes});
   succs_.emplace_back();
   preds_.emplace_back();
-  uid_ = NextGraphUid();
   return id;
 }
 
@@ -67,11 +59,16 @@ void Graph::AddEdge(int src, int dst) {
   edges_.push_back(Edge{src, dst});
   succs_[static_cast<size_t>(src)].push_back(dst);
   preds_[static_cast<size_t>(dst)].push_back(src);
-  uid_ = NextGraphUid();
 }
 
 bool Graph::HasEdge(int src, int dst) const {
+  // Scan the shorter adjacency list, so dedup stays linear on a high fan-out
+  // (or fan-in) node.
   const auto& out = succs_[static_cast<size_t>(src)];
+  const auto& in = preds_[static_cast<size_t>(dst)];
+  if (in.size() < out.size()) {
+    return std::find(in.begin(), in.end(), src) != in.end();
+  }
   return std::find(out.begin(), out.end(), dst) != out.end();
 }
 

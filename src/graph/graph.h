@@ -66,9 +66,10 @@ struct Edge {
   friend bool operator==(const Edge&, const Edge&) = default;
 };
 
-// Process-unique id for graph-content versioning; every call returns a
-// fresh value.  See Graph::uid().
-std::uint64_t NextGraphUid();
+// Size caps Graph::Deserialize enforces on untrusted input (more than 25x
+// BERT's 2138 nodes).
+inline constexpr int kMaxGraphNodes = 1 << 16;
+inline constexpr int kMaxGraphEdges = 1 << 18;
 
 // A DAG of operations.  Node ids are dense [0, NumNodes()).  Construction is
 // append-only (AddNode/AddEdge); analyses (topological order, depths,
@@ -80,14 +81,6 @@ class Graph {
 
   const std::string& name() const { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }
-
-  // Content-version tag for caches keyed on a graph (eval memo cache,
-  // embedding cache, delta evaluators).  Every mutation entry point
-  // (AddNode, AddEdge, mutable_node) assigns a fresh process-unique value,
-  // so two graphs observed with equal uids have identical evaluation-
-  // relevant content.  Copies keep the uid (their content is identical);
-  // set_name does not bump it (no evaluation depends on the name).
-  std::uint64_t uid() const { return uid_; }
 
   // Appends a node and returns its id.
   int AddNode(OpType op, std::string name, double compute_flops,
@@ -101,10 +94,7 @@ class Graph {
   int NumEdges() const { return static_cast<int>(edges_.size()); }
 
   const Node& node(int id) const { return nodes_[static_cast<size_t>(id)]; }
-  Node& mutable_node(int id) {
-    uid_ = NextGraphUid();  // The caller may write through the reference.
-    return nodes_[static_cast<size_t>(id)];
-  }
+  Node& mutable_node(int id) { return nodes_[static_cast<size_t>(id)]; }
   std::span<const Node> nodes() const { return nodes_; }
   std::span<const Edge> edges() const { return edges_; }
 
@@ -150,13 +140,13 @@ class Graph {
   // Line-oriented text serialization (stable across versions; see
   // serialization.cc for the format).
   void Serialize(std::ostream& os) const;
-  // Throws std::runtime_error on parse errors, self-edges, and graphs that
-  // fail Validate().
+  // Throws std::runtime_error on parse errors, self-edges, node or edge
+  // counts above kMaxGraphNodes / kMaxGraphEdges, and graphs that fail
+  // Validate().
   static Graph Deserialize(std::istream& is);
 
  private:
   std::string name_;
-  std::uint64_t uid_ = NextGraphUid();
   std::vector<Node> nodes_;
   std::vector<Edge> edges_;
   std::vector<std::vector<int>> succs_;

@@ -68,6 +68,7 @@ Graph Graph::Deserialize(std::istream& is) {
   int num_nodes = -1;
   nodes_hdr >> keyword >> num_nodes;
   if (keyword != "nodes" || num_nodes < 0) ParseError("expected 'nodes N'", line);
+  if (num_nodes > kMaxGraphNodes) ParseError("too many nodes", line);
 
   for (int i = 0; i < num_nodes; ++i) {
     if (!NextLine(is, line)) ParseError("truncated node list", "");
@@ -92,6 +93,7 @@ Graph Graph::Deserialize(std::istream& is) {
   int num_edges = -1;
   edges_hdr >> keyword >> num_edges;
   if (keyword != "edges" || num_edges < 0) ParseError("expected 'edges M'", line);
+  if (num_edges > kMaxGraphEdges) ParseError("too many edges", line);
 
   for (int i = 0; i < num_edges; ++i) {
     if (!NextLine(is, line)) ParseError("truncated edge list", "");

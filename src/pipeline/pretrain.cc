@@ -42,8 +42,7 @@ std::vector<GraphTask> BuildGraphTasks(const std::vector<Graph>& graphs,
                 task.baseline_runtime_s = baseline.eval.runtime_s;
                 task.env = std::make_unique<PartitionEnv>(
                     graph, model, task.baseline_runtime_s,
-                    PartitionEnv::Objective::kThroughput,
-                    /*eval_cache_capacity=*/-1, fallback);
+                    PartitionEnv::Objective::kThroughput, 0, fallback);
                 valid[static_cast<std::size_t>(gi)] = 1;
               });
   std::vector<GraphTask> tasks;

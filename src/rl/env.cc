@@ -49,7 +49,7 @@ BaselineResult ComputeHeuristicBaseline(const Graph& graph, CostModel& model,
 
 PartitionEnv::PartitionEnv(const Graph& graph, CostModel& model,
                            double baseline_runtime_s, Objective objective,
-                           int eval_cache_capacity, CostModel* fallback_model,
+                           int /*ignored*/, CostModel* fallback_model,
                            const RetryPolicy* retry_policy)
     : graph_(&graph),
       model_(&model),
@@ -58,14 +58,7 @@ PartitionEnv::PartitionEnv(const Graph& graph, CostModel& model,
           retry_policy != nullptr ? *retry_policy : RetryPolicy::FromEnv())),
       analytical_(dynamic_cast<const AnalyticalCostModel*>(&model)),
       baseline_runtime_s_(baseline_runtime_s),
-      objective_(objective) {
-  const int capacity = eval_cache_capacity < 0 ? DefaultEvalCacheCapacity()
-                                               : eval_cache_capacity;
-  if (capacity > 0) {
-    eval_cache_ =
-        std::make_shared<EvalCache>(static_cast<std::size_t>(capacity));
-  }
-}
+      objective_(objective) {}
 
 // MCM_CONTRACT(deterministic): the reward is part of the transferability
 // contract -- identical partitions must score identically across runs,
@@ -73,9 +66,7 @@ PartitionEnv::PartitionEnv(const Graph& graph, CostModel& model,
 // reachable from here).
 double PartitionEnv::Score(const Partition& partition,
                            EvalResult* eval) const {
-  *eval = eval_cache_ != nullptr
-              ? eval_cache_->Evaluate(*graph_, *resilient_, partition)
-              : resilient_->Evaluate(*graph_, partition);
+  *eval = resilient_->Evaluate(*graph_, partition);
   return RewardOf(*eval);
 }
 
@@ -104,9 +95,9 @@ double PartitionEnv::Reward(const Partition& partition) {
 }
 
 // MCM_CONTRACT(deterministic): both branches return the same bits -- the
-// evaluator's Score() is bit-identical to a full analytical Evaluate, the
-// memo cache never changes a result, and the resilient wrapper passes any
-// result through unchanged unless it is transient.
+// evaluator's Score() is bit-identical to a full analytical Evaluate, and
+// the resilient wrapper passes any result through unchanged unless it is
+// transient.
 double PartitionEnv::Reward(const DeltaEvaluator& state) {
   MCM_CHECK(&state.graph() == graph_) << "evaluator bound to another graph";
   if (analytical_ == nullptr || analytical_->config() != state.config()) {

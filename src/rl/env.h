@@ -14,7 +14,6 @@
 #include "common/rng.h"
 #include "costmodel/cost_model.h"
 #include "costmodel/delta_eval.h"
-#include "costmodel/eval_cache.h"
 #include "faults/faults.h"
 #include "graph/graph.h"
 #include "partition/partition.h"
@@ -54,12 +53,7 @@ class PartitionEnv {
 
   // `baseline_runtime_s` anchors the improvement metric (baseline latency
   // when the latency objective is selected); use ComputeHeuristicBaseline
-  // to obtain it.  `eval_cache_capacity` sizes the partition-evaluation
-  // memo cache in front of the cost model (entries; 0 disables, negative
-  // uses DefaultEvalCacheCapacity(), i.e. --eval-cache /
-  // MCMPART_EVAL_CACHE).  Copies of an env share one cache -- the cache is
-  // pure memoization of a stateless Evaluate, so sharing never changes
-  // results, only wall time.
+  // to obtain it.
   //
   // Every evaluation runs through a ResilientCostModel wrapping `model`:
   // transient failures (timeouts, evaluator errors, NaN costs -- see
@@ -75,7 +69,8 @@ class PartitionEnv {
   PartitionEnv(const Graph& graph, CostModel& model,
                double baseline_runtime_s,
                Objective objective = Objective::kThroughput,
-               int eval_cache_capacity = -1,
+               // Ignored; deleted with the next perfbench change.
+               int = 0,
                CostModel* fallback_model = nullptr,
                const RetryPolicy* retry_policy = nullptr);
 
@@ -87,8 +82,8 @@ class PartitionEnv {
   // Reward(state.partition()), for an evaluator bound to graph().  When the
   // env's model is an AnalyticalCostModel with state.config(), the
   // evaluator's Score() is the evaluation (bit-identical to a full one), so
-  // this skips the cache and the O(n) walk; any other model takes the
-  // Reward(Partition) path.
+  // this skips the O(n) walk; any other model takes the Reward(Partition)
+  // path.
   double Reward(const DeltaEvaluator& state);
 
   // Thread-safe half of Reward(): evaluates `partition` on the cost model
@@ -114,9 +109,6 @@ class PartitionEnv {
 
   std::int64_t num_evaluations() const { return num_evaluations_; }
 
-  // The memo cache, if enabled (for tests/telemetry).
-  const EvalCache* eval_cache() const { return eval_cache_.get(); }
-
   // The best-scoring valid partition seen by this environment, if any.
   // Search strategies all score through Reward(), so after a run this holds
   // the incumbent the trace's best value refers to.
@@ -130,10 +122,9 @@ class PartitionEnv {
 
   const Graph* graph_;
   CostModel* model_;
-  // Retry/degradation wrapper around model_; shared across env copies like
-  // the cache (stateless Evaluate, so sharing never changes results).
+  // Retry/degradation wrapper around model_; shared across env copies
+  // (stateless Evaluate, so sharing never changes results).
   std::shared_ptr<ResilientCostModel> resilient_;
-  std::shared_ptr<EvalCache> eval_cache_;  // Null when disabled.
   // model_ when it is an AnalyticalCostModel, else null.
   const AnalyticalCostModel* analytical_;
   double baseline_runtime_s_;

@@ -89,8 +89,8 @@ PartitionResponse Execute(const PartitionRequest& request,
   const double anchor = objective == PartitionEnv::Objective::kLatency
                             ? baseline.eval.latency_s
                             : baseline.eval.runtime_s;
-  PartitionEnv env(graph, *model, anchor, objective, /*eval_cache_capacity=*/-1,
-                   fallback, &retry_policy);
+  PartitionEnv env(graph, *model, anchor, objective, 0, fallback,
+                   &retry_policy);
 
   if (request.mode == RequestMode::kSolver) {
     // Compiler-pass mode: the solver-repaired greedy heuristic, refined by

@@ -253,9 +253,6 @@ void ResetMetricsForTest() { Registry::Instance().Reset(); }
 
 void RegisterStandardMetrics() {
   static constexpr const char* kCounters[] = {
-      "costmodel/eval_cache_evictions",
-      "costmodel/eval_cache_hits",
-      "costmodel/eval_cache_misses",
       "faults/degraded_evals",
       "faults/injected",
       "faults/injected_invalid",
@@ -277,6 +274,7 @@ void RegisterStandardMetrics() {
       "rl/embed_cache_misses",
       "rl/episodes",
       "rl/invalid_episodes",
+      "rl/minibatches",
       "rl/policy_updates",
       "runtime/parallel_fors",
       "runtime/parallel_iterations",

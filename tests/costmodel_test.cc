@@ -11,7 +11,6 @@
 #include "common/stats.h"
 #include "costmodel/cost_model.h"
 #include "costmodel/delta_eval.h"
-#include "costmodel/eval_cache.h"
 #include "graph/generators.h"
 #include "hwsim/hardware_sim.h"
 #include "partition/heuristics.h"
@@ -234,131 +233,6 @@ TEST(HwSimTest, MemoryPressureSlowsTheChip) {
   const double t_light = sim.Evaluate(light, Assign({0}, 2)).runtime_s;
   const double t_heavy = sim.Evaluate(heavy, Assign({0}, 2)).runtime_s;
   EXPECT_GT(t_heavy, t_light);
-}
-
-// ---- Partition-evaluation memo cache ----------------------------------------
-
-// Counts Evaluate calls so tests can distinguish hits from misses; returns a
-// runtime derived from the assignment so wrong cache results are detectable.
-class CountingModel final : public CostModel {
- public:
-  EvalResult Evaluate(const Graph&, const Partition& partition) override {
-    ++calls;
-    double t = 1.0;
-    for (int chip : partition.assignment) t += 0.01 * (chip + 1);
-    return EvalResult::Valid(t);
-  }
-  std::string name() const override { return "counting"; }
-
-  int calls = 0;
-};
-
-TEST(EvalCacheTest, HitsServeWithoutReevaluating) {
-  Graph g("g");
-  g.AddNode(OpType::kMatMul, "a", 1e6, 10.0);
-  CountingModel model;
-  EvalCache cache(8);
-  const Partition p1 = Assign({0, 1}, 4);
-  const Partition p2 = Assign({1, 0}, 4);
-
-  const EvalResult first = cache.Evaluate(g, model, p1);
-  EXPECT_EQ(model.calls, 1);
-  EXPECT_EQ(cache.misses(), 1);
-
-  const EvalResult again = cache.Evaluate(g, model, p1);
-  EXPECT_EQ(model.calls, 1);  // Served from cache.
-  EXPECT_EQ(cache.hits(), 1);
-  EXPECT_EQ(again.runtime_s, first.runtime_s);  // Bit-identical hit.
-  EXPECT_EQ(again.valid, first.valid);
-
-  cache.Evaluate(g, model, p2);  // Different assignment: a real miss.
-  EXPECT_EQ(model.calls, 2);
-  EXPECT_EQ(cache.misses(), 2);
-}
-
-TEST(EvalCacheTest, EvictsLeastRecentlyUsedFirst) {
-  Graph g("g");
-  g.AddNode(OpType::kMatMul, "a", 1e6, 10.0);
-  CountingModel model;
-  EvalCache cache(2);
-  const Partition a = Assign({0}, 4);
-  const Partition b = Assign({1}, 4);
-  const Partition c = Assign({2}, 4);
-
-  cache.Evaluate(g, model, a);
-  cache.Evaluate(g, model, b);
-  cache.Evaluate(g, model, a);  // Touch `a`: `b` becomes least recent.
-  cache.Evaluate(g, model, c);  // Evicts `b`.
-  EXPECT_EQ(cache.evictions(), 1);
-  EXPECT_EQ(cache.size(), 2u);
-
-  cache.Evaluate(g, model, a);  // Still cached.
-  EXPECT_EQ(model.calls, 3);
-  cache.Evaluate(g, model, b);  // Evicted: must re-evaluate.
-  EXPECT_EQ(model.calls, 4);
-}
-
-TEST(EvalCacheTest, DefaultCapacityOverride) {
-  SetDefaultEvalCacheCapacity(17);
-  EXPECT_EQ(DefaultEvalCacheCapacity(), 17);
-  SetDefaultEvalCacheCapacity(0);  // 0 = caching disabled.
-  EXPECT_EQ(DefaultEvalCacheCapacity(), 0);
-  SetDefaultEvalCacheCapacity(-1);  // Clears the override (env/base default).
-  EXPECT_GE(DefaultEvalCacheCapacity(), 0);
-}
-
-TEST(EvalCacheTest, DifferentGraphsDoNotCollide) {
-  // Same assignment, two different graphs: the second lookup must miss.
-  Graph g1("g1");
-  g1.AddNode(OpType::kMatMul, "a", 1e6, 10.0);
-  Graph g2("g2");
-  g2.AddNode(OpType::kMatMul, "a", 2e6, 20.0);
-  ASSERT_NE(g1.uid(), g2.uid());
-  CountingModel model;
-  EvalCache cache(8);
-  const Partition p = Assign({0}, 4);
-  cache.Evaluate(g1, model, p);
-  cache.Evaluate(g2, model, p);
-  EXPECT_EQ(model.calls, 2);
-  EXPECT_EQ(cache.misses(), 2);
-  cache.Evaluate(g1, model, p);  // Still cached per graph.
-  cache.Evaluate(g2, model, p);
-  EXPECT_EQ(model.calls, 2);
-  EXPECT_EQ(cache.hits(), 2);
-}
-
-TEST(EvalCacheTest, DifferentModelsDoNotCollide) {
-  Graph g("g");
-  g.AddNode(OpType::kMatMul, "a", 1e6, 10.0);
-  AnalyticalCostModel analytical{McmConfig{}};
-  CountingModel counting;
-  EvalCache cache(8);
-  const Partition p = Assign({0}, 4);
-  const EvalResult a = cache.Evaluate(g, analytical, p);
-  // Same graph and assignment under a different model name: a miss, and the
-  // counting model's own result (not the memoized analytical one).
-  const EvalResult c = cache.Evaluate(g, counting, p);
-  EXPECT_EQ(counting.calls, 1);
-  EXPECT_EQ(cache.misses(), 2);
-  EXPECT_NE(a.runtime_s, c.runtime_s);
-}
-
-TEST(EvalCacheTest, GraphMutationInvalidatesEntries) {
-  Graph g("g");
-  g.AddNode(OpType::kMatMul, "a", 1e6, 10.0);
-  CountingModel model;
-  EvalCache cache(8);
-  const Partition p = Assign({0}, 4);
-  cache.Evaluate(g, model, p);
-  // Copies share the uid (identical content), so they hit.
-  const Graph copy = g;
-  cache.Evaluate(copy, model, p);
-  EXPECT_EQ(model.calls, 1);
-  // Mutation bumps the uid: stale entries can no longer be served.
-  g.mutable_node(0).compute_flops *= 2.0;
-  EXPECT_NE(g.uid(), copy.uid());
-  cache.Evaluate(g, model, p);
-  EXPECT_EQ(model.calls, 2);
 }
 
 // ---- Incremental (delta) evaluation -----------------------------------------

@@ -3,6 +3,7 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -135,6 +136,24 @@ TEST(GraphTest, DeserializeRejectsHostileGraphs) {
   std::stringstream negative(
       "graph g\nnodes 1\nnode 0 0 -5 1 1 a\nedges 0\nend\n");
   EXPECT_THROW(Graph::Deserialize(negative), std::runtime_error);
+  // Over-cap counts are refused at their header, before any record is read.
+  const auto error_of = [](const std::string& text) -> std::string {
+    std::stringstream in(text);
+    try {
+      Graph::Deserialize(in);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_NE(error_of("graph g\nnodes " + std::to_string(kMaxGraphNodes + 1) +
+                     "\n")
+                .find("too many nodes"),
+            std::string::npos);
+  EXPECT_NE(error_of("graph g\nnodes 1\nnode 0 0 1 1 1 a\nedges " +
+                     std::to_string(kMaxGraphEdges + 1) + "\n")
+                .find("too many edges"),
+            std::string::npos);
 }
 
 TEST(GraphTest, DotOutputMentionsAllNodes) {

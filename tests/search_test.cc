@@ -1,6 +1,9 @@
 // Tests for the search strategies and their traces.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+
 #include "costmodel/cost_model.h"
 #include "graph/generators.h"
 #include "rl/env.h"
@@ -103,46 +106,20 @@ TEST(RlSearchTest, ZeroShotDoesNotTrain) {
   }
 }
 
-TEST(SearchDeterminismTest, EvalCacheDoesNotChangeResults) {
-  // The memo cache is pure memoization: every trace reward and the best
-  // partition must be bit-identical with the cache on or off.
-  std::vector<Graph> corpus = MakeCorpus();
-  const Graph& graph = corpus[30];
-  AnalyticalCostModel model{McmConfig{}};
-  GraphContext c1(graph, 36), c2(graph, 36);
-  Rng rng(1);
-  const double baseline =
-      ComputeHeuristicBaseline(graph, model, c1.solver(), rng).eval.runtime_s;
-  PartitionEnv cached(graph, model, baseline,
-                      PartitionEnv::Objective::kThroughput,
-                      /*eval_cache_capacity=*/1024);
-  PartitionEnv uncached(graph, model, baseline,
-                        PartitionEnv::Objective::kThroughput,
-                        /*eval_cache_capacity=*/0);
-  ASSERT_NE(cached.eval_cache(), nullptr);
-  EXPECT_EQ(uncached.eval_cache(), nullptr);
-  SimulatedAnnealing s1{Rng(9)}, s2{Rng(9)};
-  const SearchTrace t1 = s1.Run(c1, cached, 60);
-  const SearchTrace t2 = s2.Run(c2, uncached, 60);
-  EXPECT_EQ(t1.rewards, t2.rewards);
-  ASSERT_TRUE(cached.has_best());
-  ASSERT_TRUE(uncached.has_best());
-  EXPECT_EQ(cached.best_partition().assignment,
-            uncached.best_partition().assignment);
-  // The cache actually saw the search's evaluations.
-  EXPECT_GT(cached.eval_cache()->hits() + cached.eval_cache()->misses(), 0);
-}
-
 // Evaluates exactly like the AnalyticalCostModel it wraps without being
 // one, so an env over it scores every partition by full evaluation.
+// `calls` counts those evaluations.
 class ForwardingModel final : public CostModel {
  public:
   explicit ForwardingModel(AnalyticalCostModel& inner) : inner_(&inner) {}
   EvalResult Evaluate(const Graph& graph,
                       const Partition& partition) override {
+    calls.fetch_add(1, std::memory_order_relaxed);
     return inner_->Evaluate(graph, partition);
   }
   std::string name() const override { return inner_->name(); }
+
+  std::atomic<std::int64_t> calls{0};
 
  private:
   AnalyticalCostModel* inner_;
@@ -154,7 +131,6 @@ struct LocalSearchRun {
   double best_reward = 0.0;
   std::vector<int> best;
   std::int64_t evaluations = 0;
-  std::int64_t cache_lookups = 0;
 };
 
 // HillClimb, then ProbeSingleNodeMoves from the baseline through
@@ -167,8 +143,7 @@ LocalSearchRun RunLocalSearch(const Graph& graph, CostModel& model,
   Rng rng(1);
   const BaselineResult baseline =
       ComputeHeuristicBaseline(graph, model, context.solver(), rng);
-  PartitionEnv env(graph, model, baseline.eval.runtime_s, objective,
-                   /*eval_cache_capacity=*/1024);
+  PartitionEnv env(graph, model, baseline.eval.runtime_s, objective);
   LocalSearchRun out;
   out.rewards = HillClimbSearch{Rng(13)}.Run(context, env, budget).rewards;
   Rng probe_rng(17);
@@ -180,7 +155,6 @@ LocalSearchRun RunLocalSearch(const Graph& graph, CostModel& model,
   out.best_reward = env.best_reward();
   out.best = env.best_partition().assignment;
   out.evaluations = env.num_evaluations();
-  out.cache_lookups = env.eval_cache()->hits() + env.eval_cache()->misses();
   return out;
 }
 
@@ -199,6 +173,7 @@ void ExpectEvaluatorPathIsFullEvaluation(const Graph& graph,
   for (const int threads : {1, 4}) {
     for (CostModel* model : {static_cast<CostModel*>(&analytical),
                              static_cast<CostModel*>(&forwarding)}) {
+      forwarding.calls = 0;
       const LocalSearchRun run =
           RunLocalSearch(graph, *model, objective, threads, budget);
       EXPECT_EQ(run.rewards, reference.rewards) << threads;
@@ -207,10 +182,8 @@ void ExpectEvaluatorPathIsFullEvaluation(const Graph& graph,
       EXPECT_EQ(run.best, reference.best) << threads;
       EXPECT_EQ(run.evaluations, reference.evaluations) << threads;
       if (model == &forwarding) {
-        // Only the forwarding env sent HillClimb's moves through the cache.
-        EXPECT_GT(run.cache_lookups, reference.cache_lookups) << threads;
-      } else {
-        EXPECT_EQ(run.cache_lookups, reference.cache_lookups) << threads;
+        // The forwarding env fully evaluated every scored partition.
+        EXPECT_GE(forwarding.calls.load(), run.evaluations) << threads;
       }
     }
   }

@@ -456,6 +456,14 @@ TEST(ServerTest, HostileGraphGetsAnErrorResponseNotAnAbort) {
   EXPECT_NE(rejected.error.find("cycle"), std::string::npos)
       << rejected.error;
 
+  PartitionRequest oversized = SmallRequest(3);
+  oversized.graph_text =
+      "graph g\nnodes " + std::to_string(kMaxGraphNodes + 1) + "\n";
+  const PartitionResponse refused = client.Call(oversized);
+  EXPECT_FALSE(refused.ok);
+  EXPECT_NE(refused.error.find("too many nodes"), std::string::npos)
+      << refused.error;
+
   const PartitionResponse good = client.Call(SmallRequest(2));
   EXPECT_TRUE(good.ok) << good.error;
 }

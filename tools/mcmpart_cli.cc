@@ -29,9 +29,6 @@
 //     --nn-threads N   intra-op parallelism of the NN kernels (default:
 //                      MCMPART_NN_THREADS env, else inherit --threads);
 //                      results are identical for any N
-//     --eval-cache N   partition-evaluation memo-cache entries (default:
-//                      MCMPART_EVAL_CACHE env, else 1024; 0 disables);
-//                      results are identical with the cache on or off
 //     --out FILE       write "node chip" lines of the best partition
 //     --trace-out FILE    write Chrome trace-event JSON (spans)
 //     --metrics-out FILE  write a metrics/run-report JSON
@@ -125,8 +122,7 @@ int Usage() {
                " [--model analytical|hwsim]"
                " [--objective throughput|latency] [--seed S] [--deadline-ms D]"
                " [--checkpoint F] [--checkpoint-shape quick|pretrain]"
-               " [--threads N] [--nn-threads N] [--eval-cache N]"
-               " [--out FILE]\n"
+               " [--threads N] [--nn-threads N] [--out FILE]\n"
                "       mcmpart serve --socket PATH [--queue-depth N]"
                " [--cache N] [--executors N] [--checkpoint F]"
                " [--checkpoint-shape quick|pretrain] [--chips N] [--threads N]"
@@ -261,7 +257,6 @@ int RunPartition(const Graph& graph, int argc, char** argv) {
     else if (arg == "--checkpoint-shape") checkpoint_shape = next();
     else if (arg == "--threads") SetDefaultThreadCount(std::stoi(next()));
     else if (arg == "--nn-threads") SetNnThreadCount(std::stoi(next()));
-    else if (arg == "--eval-cache") SetDefaultEvalCacheCapacity(std::stoi(next()));
     else if (arg == "--out") out_path = next();
     else if (arg == "--trace-out") trace_path = next();
     else if (arg == "--metrics-out") metrics_path = next();
