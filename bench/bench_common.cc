@@ -124,15 +124,10 @@ void InitBenchRuntime(int argc, char** argv) {
     if (std::string(argv[i]) == "--threads" && i + 1 < argc) {
       SetDefaultThreadCount(std::stoi(argv[i + 1]));
       ++i;
-    } else if (std::string(argv[i]) == "--nn-threads" && i + 1 < argc) {
-      SetNnThreadCount(std::stoi(argv[i + 1]));
-      ++i;
     }
   }
   std::printf("# runtime: %d worker threads (override with --threads N or "
-              "MCMPART_THREADS), %d NN kernel threads (--nn-threads N or "
-              "MCMPART_NN_THREADS; 0 inherits --threads)\n",
-              DefaultThreadCount(), NnThreadCount());
+              "MCMPART_THREADS)\n", DefaultThreadCount());
 }
 
 telemetry::RunReport MakeBenchReport(std::string_view name) {
@@ -140,7 +135,6 @@ telemetry::RunReport MakeBenchReport(std::string_view name) {
   report.SetString("scale",
                    GetBenchScale() == BenchScale::kFull ? "full" : "quick");
   report.SetValue("threads", DefaultThreadCount());
-  report.SetValue("nn_threads", NnThreadCount());
   // bench_compare.py --gate refuses a baseline recorded on fewer cores.
   // A core-count query starts no thread, hence the NOLINT.
   const unsigned cores =

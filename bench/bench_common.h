@@ -26,12 +26,10 @@ inline constexpr const char* kMethodNames[] = {
     "Random", "SA", "RL", "RL Zeroshot", "RL Finetuning"};
 inline constexpr int kNumMethods = 5;
 
-// Parses runtime flags shared by every bench binary (`--threads N` for the
+// Parses the runtime flag shared by every bench binary (`--threads N` for the
 // worker pool, falling back to the MCMPART_THREADS env var, else hardware
-// concurrency; `--nn-threads N` for NN kernel intra-op parallelism, falling
-// back to MCMPART_NN_THREADS, else inheriting the worker count) and
-// configures the pools.  Prints the effective thread counts so bench logs
-// are self-describing.  Results are bit-identical for any thread count;
+// concurrency) and configures the pool.  Prints the effective thread count
+// so bench logs are self-describing.  Results are bit-identical for any thread count;
 // only wall-clock changes.
 void InitBenchRuntime(int argc, char** argv);
 

@@ -1,5 +1,5 @@
 // Microbenchmarks for the neural-network substrate: the GEMM kernels
-// (blocked vs naive reference, serial vs NN-pool threaded), NeighborMean,
+// (blocked vs naive reference, serial vs threaded), NeighborMean,
 // GraphSAGE forward, rollout sampling, and PPO updates at corpus and BERT
 // scales.
 //
@@ -9,8 +9,8 @@
 // --gate trips on regressions:
 //
 //   gate/nn_threaded_over_serial_ratio   BERT-scale GraphSAGE forward +
-//                                        backward wall time at 8 NN threads
-//                                        over the same work at 1 NN thread,
+//                                        backward wall time at 8 threads
+//                                        over the same work at 1 thread,
 //                                        with bit-identical losses and
 //                                        gradients MCM_CHECKed between the
 //                                        two runs (< 1 on multi-core
@@ -113,13 +113,14 @@ BENCHMARK(BM_MatMulTransBReference)
     ->DenseRange(0, 1)
     ->Unit(benchmark::kMicrosecond);
 
-// The blocked GEMMs at an explicit NN thread count, on the BERT-scale shape
+// The blocked GEMMs at an explicit thread count, on the BERT-scale shape
 // (the small shape never leaves the serial path).  Against BM_MatMul* (which
 // run at the inherited default) this shows the intra-op scaling curve.
 template <void (*Kernel)(const Matrix&, const Matrix&, Matrix&, bool)>
 void ThreadedGemmBench(benchmark::State& state, int a_rows, int a_cols,
                        int b_rows, int b_cols) {
-  SetNnThreadCount(static_cast<int>(state.range(0)));
+  const int previous_threads = DefaultThreadCount();
+  SetDefaultThreadCount(static_cast<int>(state.range(0)));
   const Matrix a = RandomMatrix(a_rows, a_cols, 11);
   const Matrix b = RandomMatrix(b_rows, b_cols, 12);
   Matrix out;
@@ -128,7 +129,7 @@ void ThreadedGemmBench(benchmark::State& state, int a_rows, int a_cols,
     benchmark::DoNotOptimize(out.data.data());
   }
   state.counters["flops"] = 2.0 * a_rows * a_cols * b_cols;
-  SetNnThreadCount(0);  // Back to inheriting the runtime thread count.
+  SetDefaultThreadCount(previous_threads);
 }
 
 void BM_MatMulThreaded(benchmark::State& state) {
@@ -275,7 +276,7 @@ float SageFwdBwd(GraphSageNetwork& net, const Matrix& features,
   return tape.value(loss).at(0, 0);
 }
 
-// Times the fwd+bwd pass at 1 vs 8 NN threads, MCM_CHECKing bit-identical
+// Times the fwd+bwd pass at 1 vs 8 threads, MCM_CHECKing bit-identical
 // losses and parameter gradients between the runs, and records
 // gate/nn_threaded_over_serial_ratio.  The ratio is a same-machine
 // comparison: < 1 whenever cores are available, ~1 on a single core; a
@@ -292,14 +293,15 @@ void MeasureNnParallelGate(telemetry::RunReport& report) {
   const int reps = 5;
 
   // Identity check first: same loss, same gradient bits at both counts.
-  SetNnThreadCount(1);
+  const int previous_threads = DefaultThreadCount();
+  SetDefaultThreadCount(1);
   const float serial_loss = SageFwdBwd(net, features, lists, ones);
   std::vector<Matrix> serial_grads;
   for (Param* p : net.Params()) {
     serial_grads.push_back(p->grad);
     p->grad.Zero();
   }
-  SetNnThreadCount(8);
+  SetDefaultThreadCount(8);
   const float threaded_loss = SageFwdBwd(net, features, lists, ones);
   MCM_CHECK(serial_loss == threaded_loss);
   {
@@ -316,7 +318,7 @@ void MeasureNnParallelGate(telemetry::RunReport& report) {
   float sinks[2] = {0.0f, 0.0f};
   const int counts[2] = {1, 8};
   for (int run = 0; run < 2; ++run) {
-    SetNnThreadCount(counts[run]);
+    SetDefaultThreadCount(counts[run]);
     const double start = telemetry::MonotonicSeconds();
     for (int r = 0; r < reps; ++r) {
       sinks[run] += SageFwdBwd(net, features, lists, ones);
@@ -324,7 +326,7 @@ void MeasureNnParallelGate(telemetry::RunReport& report) {
     }
     elapsed[run] = telemetry::MonotonicSeconds() - start;
   }
-  SetNnThreadCount(0);
+  SetDefaultThreadCount(previous_threads);
   MCM_CHECK(sinks[0] == sinks[1]);
 
   // Clamp the denominator so a freakishly fast serial run cannot turn the

@@ -214,12 +214,12 @@ void MatMulTransBPanel(const Matrix& a, const Matrix& b, Matrix& out,
   }
 }
 
-// Splits [0, rows) into fixed kPanelRows-row panels executed on the NN
-// kernel pool.  Panel boundaries depend only on `rows`.
+// Splits [0, rows) into fixed kPanelRows-row panels executed on the default
+// pool.  Panel boundaries depend only on `rows`.
 template <typename PanelFn>
 void ParallelOverRowPanels(int rows, const PanelFn& panel) {
   const int num_panels = (rows + kPanelRows - 1) / kPanelRows;
-  NnParallelFor(0, num_panels, [&](std::int64_t p) {
+  ParallelFor(0, num_panels, [&](std::int64_t p) {
     const int begin = static_cast<int>(p) * kPanelRows;
     const int end = std::min(rows, begin + kPanelRows);
     panel(begin, end);
@@ -266,7 +266,7 @@ void MatMulTransA(const Matrix& a, const Matrix& b, Matrix& out,
     const std::size_t tile = static_cast<std::size_t>(m) * n;
     std::vector<float> partials =
         ScratchArena::AcquireBuffer(tile * static_cast<std::size_t>(num_slabs));
-    NnParallelFor(0, num_slabs, [&](std::int64_t s) {
+    ParallelFor(0, num_slabs, [&](std::int64_t s) {
       const int k_begin = static_cast<int>(s) * kSlabRows;
       const int k_end = std::min(kk, k_begin + kSlabRows);
       MatMulTransAPanel(a, b, partials.data() + static_cast<std::size_t>(s) * tile,

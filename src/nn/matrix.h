@@ -3,11 +3,12 @@
 // The three GEMM variants are cache-blocked, register-tiled kernels written
 // so the compiler's auto-vectorizer can keep the accumulators in vector
 // registers -- no BLAS dependency and no fast-math.  Large shapes run on the
-// NN kernel pool (NnParallelFor; sized by --nn-threads, which defaults to
-// inheriting the runtime thread count) with blocking that is fixed and
-// shape-only (never a function of the thread count), so results are
-// bit-identical run-to-run and across worker-pool sizes.  The naive reference kernels are retained
-// (`*Reference`) for tests and microbenchmarks.
+// default pool (ParallelFor, sized by --threads) with blocking that is fixed
+// and shape-only (never a function of the thread count), so results are
+// bit-identical run-to-run and across worker-pool sizes.  These GEMMs are the
+// only NN kernels that fan out; every tape op and Adam runs serially.  The
+// naive reference kernels are retained (`*Reference`) for tests and
+// microbenchmarks.
 #pragma once
 
 #include <cstddef>

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "common/logging.h"
-#include "runtime/thread_pool.h"
 
 namespace mcm {
 
@@ -137,10 +136,8 @@ Adam::Adam(ParamRefs params, Options options)
   }
 }
 
-// MCM_CONTRACT(deterministic): the global-norm reduction stays serial in
-// param order; the per-param update is elementwise (params never alias), so
-// the fan-out reorders no arithmetic and the step is bit-identical at any
-// --nn-threads value.
+// MCM_CONTRACT(deterministic): the global-norm reduction and the update run
+// serially in param order.
 void Adam::Step() {
   ++step_;
   double scale = 1.0;
@@ -156,11 +153,10 @@ void Adam::Step() {
   }
   const double bias1 = 1.0 - std::pow(options_.beta1, step_);
   const double bias2 = 1.0 - std::pow(options_.beta2, step_);
-  NnParallelFor(0, static_cast<std::int64_t>(params_.size()),
-                [&](std::int64_t k) {
-    Param& p = *params_[static_cast<std::size_t>(k)];
-    Matrix& m = m_[static_cast<std::size_t>(k)];
-    Matrix& v = v_[static_cast<std::size_t>(k)];
+  for (std::size_t k = 0; k < params_.size(); ++k) {
+    Param& p = *params_[k];
+    Matrix& m = m_[k];
+    Matrix& v = v_[k];
     for (std::size_t i = 0; i < p.value.data.size(); ++i) {
       const double g = scale * p.grad.data[i];
       m.data[i] = static_cast<float>(options_.beta1 * m.data[i] +
@@ -172,15 +168,12 @@ void Adam::Step() {
       p.value.data[i] -= static_cast<float>(
           options_.lr * m_hat / (std::sqrt(v_hat) + options_.epsilon));
     }
-  });
+  }
   ZeroGrad();
 }
 
 void Adam::ZeroGrad() {
-  NnParallelFor(0, static_cast<std::int64_t>(params_.size()),
-                [&](std::int64_t k) {
-    params_[static_cast<std::size_t>(k)]->grad.Zero();
-  });
+  for (Param* p : params_) p->grad.Zero();
 }
 
 Adam::State Adam::GetState() const {

@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "nn/arena.h"
-#include "runtime/thread_pool.h"
 
 namespace mcm {
 namespace {
@@ -17,77 +16,26 @@ std::size_t& TapeReserveHint() {
   return hint;
 }
 
-// ---- Intra-op parallel decomposition ----------------------------------------
-//
-// Every parallel tape op splits its output into fixed-size blocks whose
-// boundaries depend only on the operand shape (never on the thread count),
-// and each output element is written by exactly one task with the same
-// per-element summation order as the serial loop.  Results are therefore
-// bit-identical at any --nn-threads value, including 1.  Small shapes stay
-// inline: below the cutovers the fork overhead dominates the arithmetic.
-
-// Elements per parallel task for flat elementwise ops.
-constexpr std::size_t kElemsPerBlock = std::size_t{1} << 15;
-// Rows per parallel task for row-structured ops.
-constexpr int kRowsPerBlock = 64;
-// Minimum output elements before an op goes parallel.
-constexpr std::size_t kParallelMinElems = std::size_t{1} << 14;
-
-// Runs fn(begin, end) over [0, n) in fixed kElemsPerBlock chunks.
-template <typename Fn>
-void ParallelOverElements(std::size_t n, const Fn& fn) {
-  if (n < kParallelMinElems) {
-    fn(std::size_t{0}, n);
-    return;
-  }
-  const std::size_t blocks = (n + kElemsPerBlock - 1) / kElemsPerBlock;
-  NnParallelFor(0, static_cast<std::int64_t>(blocks), [&](std::int64_t b) {
-    const std::size_t begin = static_cast<std::size_t>(b) * kElemsPerBlock;
-    fn(begin, std::min(n, begin + kElemsPerBlock));
-  });
-}
-
-// Runs fn(row_begin, row_end) over [0, rows) in fixed kRowsPerBlock chunks.
-template <typename Fn>
-void ParallelOverRowBlocks(int rows, int cols, const Fn& fn) {
-  if (static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols) <
-          kParallelMinElems ||
-      rows <= kRowsPerBlock) {
-    fn(0, rows);
-    return;
-  }
-  const int blocks = (rows + kRowsPerBlock - 1) / kRowsPerBlock;
-  NnParallelFor(0, blocks, [&](std::int64_t b) {
-    const int begin = static_cast<int>(b) * kRowsPerBlock;
-    fn(begin, std::min(rows, begin + kRowsPerBlock));
-  });
-}
-
 void AccumulateInto(Matrix& dst, const Matrix& src) {
   MCM_CHECK(dst.SameShape(src));
   float* d = dst.data.data();
   const float* s = src.data.data();
-  ParallelOverElements(dst.data.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) d[i] += s[i];
-  });
+  for (std::size_t i = 0; i < dst.data.size(); ++i) d[i] += s[i];
 }
 
-// Row-wise stable log-softmax into `out` (same shape as logits).  Rows are
-// independent, so the block split reorders no arithmetic.
+// Row-wise stable log-softmax into `out` (same shape as logits).
 void RowLogSoftmax(const Matrix& logits, Matrix& out) {
   out = ScratchArena::AcquireUninit(logits.rows, logits.cols);
-  ParallelOverRowBlocks(logits.rows, logits.cols, [&](int row_begin, int row_end) {
-    for (int i = row_begin; i < row_end; ++i) {
-      const auto row = logits.row(i);
-      float max_z = row[0];
-      for (float z : row) max_z = std::max(max_z, z);
-      double sum = 0.0;
-      for (float z : row) sum += std::exp(static_cast<double>(z - max_z));
-      const auto lse = static_cast<float>(max_z + std::log(sum));
-      auto out_row = out.row(i);
-      for (int j = 0; j < logits.cols; ++j) out_row[j] = row[j] - lse;
-    }
-  });
+  for (int i = 0; i < logits.rows; ++i) {
+    const auto row = logits.row(i);
+    float max_z = row[0];
+    for (float z : row) max_z = std::max(max_z, z);
+    double sum = 0.0;
+    for (float z : row) sum += std::exp(static_cast<double>(z - max_z));
+    const auto lse = static_cast<float>(max_z + std::log(sum));
+    auto out_row = out.row(i);
+    for (int j = 0; j < logits.cols; ++j) out_row[j] = row[j] - lse;
+  }
 }
 
 }  // namespace
@@ -114,26 +62,6 @@ void NeighborLists::Finalize() {
     if (degree > 0) {
       inv_degree[static_cast<std::size_t>(i)] =
           1.0f / static_cast<float>(degree);
-    }
-  }
-
-  // Stable counting sort of the transpose: reverse bucket j lists the
-  // forward rows in ascending (row, edge-position) order -- exactly the
-  // order the serial scatter visited j, which is what makes the backward
-  // gather bit-identical to it.
-  rev_offsets.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (const int j : indices) ++rev_offsets[static_cast<std::size_t>(j) + 1];
-  for (int j = 0; j < n; ++j) {
-    rev_offsets[static_cast<std::size_t>(j) + 1] +=
-        rev_offsets[static_cast<std::size_t>(j)];
-  }
-  rev_rows.resize(indices.size());
-  std::vector<int> cursor(rev_offsets.begin(), rev_offsets.end() - 1);
-  for (int i = 0; i < n; ++i) {
-    for (int e = offsets[static_cast<std::size_t>(i)];
-         e < offsets[static_cast<std::size_t>(i) + 1]; ++e) {
-      const int j = indices[static_cast<std::size_t>(e)];
-      rev_rows[static_cast<std::size_t>(cursor[static_cast<std::size_t>(j)]++)] = i;
     }
   }
 }
@@ -197,19 +125,15 @@ VarId Tape::AddRowBroadcast(VarId a, VarId bias) {
   MCM_CHECK_EQ(bv.rows, 1);
   MCM_CHECK_EQ(bv.cols, av.cols);
   Matrix out = ScratchArena::AcquireCopy(av);
-  ParallelOverRowBlocks(out.rows, out.cols, [&](int row_begin, int row_end) {
-    for (int i = row_begin; i < row_end; ++i) {
-      auto row = out.row(i);
-      for (int j = 0; j < out.cols; ++j) row[j] += bv.at(0, j);
-    }
-  });
+  for (int i = 0; i < out.rows; ++i) {
+    auto row = out.row(i);
+    for (int j = 0; j < out.cols; ++j) row[j] += bv.at(0, j);
+  }
   const VarId id = Emplace(std::move(out));
   nodes_[static_cast<std::size_t>(id)].backward = [this, a, bias, id] {
     const Matrix& dout = grad(id);
     AccumulateInto(mutable_grad(a), dout);
-    // The bias gradient is a column reduction over rows; it stays serial so
-    // the row-ascending summation order is fixed (the [1 x C] output is a
-    // single cache line of work anyway).
+    // The bias gradient is a column reduction in row-ascending order.
     Matrix& dbias = mutable_grad(bias);
     for (int i = 0; i < dout.rows; ++i) {
       const auto row = dout.row(i);
@@ -225,12 +149,9 @@ VarId Tape::ReluOp(VarId a) {
   {
     const float* src = av.data.data();
     float* dst = out.data.data();
-    ParallelOverElements(out.data.size(),
-                         [&](std::size_t begin, std::size_t end) {
-                           for (std::size_t i = begin; i < end; ++i) {
-                             dst[i] = std::max(src[i], 0.0f);
-                           }
-                         });
+    for (std::size_t i = 0; i < out.data.size(); ++i) {
+      dst[i] = std::max(src[i], 0.0f);
+    }
   }
   const VarId id = Emplace(std::move(out));
   nodes_[static_cast<std::size_t>(id)].backward = [this, a, id] {
@@ -240,12 +161,9 @@ VarId Tape::ReluOp(VarId a) {
     const float* d = dout.data.data();
     const float* x = av.data.data();
     float* g = da.data.data();
-    ParallelOverElements(dout.data.size(),
-                         [&](std::size_t begin, std::size_t end) {
-                           for (std::size_t i = begin; i < end; ++i) {
-                             if (x[i] > 0.0f) g[i] += d[i];
-                           }
-                         });
+    for (std::size_t i = 0; i < dout.data.size(); ++i) {
+      if (x[i] > 0.0f) g[i] += d[i];
+    }
   };
   return id;
 }
@@ -256,12 +174,9 @@ VarId Tape::TanhOp(VarId a) {
   {
     const float* src = av.data.data();
     float* dst = out.data.data();
-    ParallelOverElements(out.data.size(),
-                         [&](std::size_t begin, std::size_t end) {
-                           for (std::size_t i = begin; i < end; ++i) {
-                             dst[i] = std::tanh(src[i]);
-                           }
-                         });
+    for (std::size_t i = 0; i < out.data.size(); ++i) {
+      dst[i] = std::tanh(src[i]);
+    }
   }
   const VarId id = Emplace(std::move(out));
   nodes_[static_cast<std::size_t>(id)].backward = [this, a, id] {
@@ -271,12 +186,9 @@ VarId Tape::TanhOp(VarId a) {
     const float* d = dout.data.data();
     const float* yv = y.data.data();
     float* g = da.data.data();
-    ParallelOverElements(dout.data.size(),
-                         [&](std::size_t begin, std::size_t end) {
-                           for (std::size_t i = begin; i < end; ++i) {
-                             g[i] += d[i] * (1.0f - yv[i] * yv[i]);
-                           }
-                         });
+    for (std::size_t i = 0; i < dout.data.size(); ++i) {
+      g[i] += d[i] * (1.0f - yv[i] * yv[i]);
+    }
   };
   return id;
 }
@@ -287,36 +199,31 @@ VarId Tape::ConcatCols(VarId a, VarId b) {
   MCM_CHECK_EQ(av.rows, bv.rows);
   const int a_cols = av.cols;  // Read before Emplace invalidates references.
   Matrix out = ScratchArena::AcquireUninit(av.rows, av.cols + bv.cols);
-  ParallelOverRowBlocks(av.rows, out.cols, [&](int row_begin, int row_end) {
-    for (int i = row_begin; i < row_end; ++i) {
-      auto row = out.row(i);
-      const auto arow = av.row(i);
-      const auto brow = bv.row(i);
-      std::copy(arow.begin(), arow.end(), row.begin());
-      std::copy(brow.begin(), brow.end(), row.begin() + av.cols);
-    }
-  });
+  for (int i = 0; i < av.rows; ++i) {
+    auto row = out.row(i);
+    const auto arow = av.row(i);
+    const auto brow = bv.row(i);
+    std::copy(arow.begin(), arow.end(), row.begin());
+    std::copy(brow.begin(), brow.end(), row.begin() + av.cols);
+  }
   const VarId id = Emplace(std::move(out));
   nodes_[static_cast<std::size_t>(id)].backward = [this, a, b, id, a_cols] {
     const Matrix& dout = grad(id);
     Matrix& da = mutable_grad(a);
     Matrix& db = mutable_grad(b);
-    ParallelOverRowBlocks(dout.rows, dout.cols, [&](int row_begin, int row_end) {
-      for (int i = row_begin; i < row_end; ++i) {
-        const auto drow = dout.row(i);
-        auto da_row = da.row(i);
-        auto db_row = db.row(i);
-        for (int j = 0; j < a_cols; ++j) da_row[j] += drow[j];
-        for (int j = 0; j < db.cols; ++j) db_row[j] += drow[a_cols + j];
-      }
-    });
+    for (int i = 0; i < dout.rows; ++i) {
+      const auto drow = dout.row(i);
+      auto da_row = da.row(i);
+      auto db_row = db.row(i);
+      for (int j = 0; j < a_cols; ++j) da_row[j] += drow[j];
+      for (int j = 0; j < db.cols; ++j) db_row[j] += drow[a_cols + j];
+    }
   };
   return id;
 }
 
-// MCM_CONTRACT(deterministic): both passes split over fixed row blocks; the
-// backward gathers along the reverse CSR in the serial scatter's order, so
-// gradients are bit-identical at any thread count.
+// MCM_CONTRACT(deterministic): both passes are serial loops over the forward
+// CSR in (row, edge-position) order.
 VarId Tape::NeighborMeanOp(VarId a, const NeighborLists* lists) {
   const Matrix& av = value(a);
   MCM_CHECK(lists != nullptr);
@@ -331,43 +238,34 @@ VarId Tape::NeighborMeanOp(VarId a, const NeighborLists* lists) {
 
   const int cols = av.cols;
   Matrix out = ScratchArena::AcquireUninit(av.rows, cols);
-  ParallelOverRowBlocks(av.rows, cols, [&](int row_begin, int row_end) {
-    for (int i = row_begin; i < row_end; ++i) {
-      const int begin = lists->offsets[static_cast<std::size_t>(i)];
-      const int end = lists->offsets[static_cast<std::size_t>(i) + 1];
-      auto row = out.row(i);
-      std::fill(row.begin(), row.end(), 0.0f);
-      if (begin == end) continue;
-      for (int e = begin; e < end; ++e) {
-        const auto src = av.row(lists->indices[static_cast<std::size_t>(e)]);
-        for (int j = 0; j < cols; ++j) row[j] += src[j];
-      }
-      const float inv = lists->inv_degree[static_cast<std::size_t>(i)];
-      for (int j = 0; j < cols; ++j) row[j] *= inv;
+  for (int i = 0; i < av.rows; ++i) {
+    const int begin = lists->offsets[static_cast<std::size_t>(i)];
+    const int end = lists->offsets[static_cast<std::size_t>(i) + 1];
+    auto row = out.row(i);
+    std::fill(row.begin(), row.end(), 0.0f);
+    if (begin == end) continue;
+    for (int e = begin; e < end; ++e) {
+      const auto src = av.row(lists->indices[static_cast<std::size_t>(e)]);
+      for (int j = 0; j < cols; ++j) row[j] += src[j];
     }
-  });
+    const float inv = lists->inv_degree[static_cast<std::size_t>(i)];
+    for (int j = 0; j < cols; ++j) row[j] *= inv;
+  }
   const VarId id = Emplace(std::move(out));
   nodes_[static_cast<std::size_t>(id)].backward = [this, a, lists, id] {
     const Matrix& dout = grad(id);
     Matrix& da = mutable_grad(a);
     const int cols = dout.cols;
-    // Per-row gather over the transpose adjacency: row j of da is owned by
-    // exactly one task, and its contributions arrive in the same
-    // (row, edge-position) order the serial scatter used.
-    ParallelOverRowBlocks(da.rows, cols, [&](int row_begin, int row_end) {
-      for (int j = row_begin; j < row_end; ++j) {
-        const int begin = lists->rev_offsets[static_cast<std::size_t>(j)];
-        const int end = lists->rev_offsets[static_cast<std::size_t>(j) + 1];
-        if (begin == end) continue;
-        auto dst = da.row(j);
-        for (int e = begin; e < end; ++e) {
-          const int i = lists->rev_rows[static_cast<std::size_t>(e)];
-          const float inv = lists->inv_degree[static_cast<std::size_t>(i)];
-          const auto drow = dout.row(i);
-          for (int c = 0; c < cols; ++c) dst[c] += inv * drow[c];
-        }
+    for (int i = 0; i < dout.rows; ++i) {
+      const int begin = lists->offsets[static_cast<std::size_t>(i)];
+      const int end = lists->offsets[static_cast<std::size_t>(i) + 1];
+      const float inv = lists->inv_degree[static_cast<std::size_t>(i)];
+      const auto drow = dout.row(i);
+      for (int e = begin; e < end; ++e) {
+        auto dst = da.row(lists->indices[static_cast<std::size_t>(e)]);
+        for (int c = 0; c < cols; ++c) dst[c] += inv * drow[c];
       }
-    });
+    }
   };
   return id;
 }
@@ -375,8 +273,7 @@ VarId Tape::NeighborMeanOp(VarId a, const NeighborLists* lists) {
 VarId Tape::MeanRowsOp(VarId a) {
   const Matrix& av = value(a);
   MCM_CHECK_GT(av.rows, 0);
-  // The [1 x C] output is a row-ordered reduction; it stays serial to keep
-  // the summation order fixed (one streaming pass, cheap at any scale).
+  // The [1 x C] output is a reduction in row-ascending order.
   Matrix out = ScratchArena::AcquireZeroed(1, av.cols);
   for (int i = 0; i < av.rows; ++i) {
     const auto row = av.row(i);
@@ -388,12 +285,10 @@ VarId Tape::MeanRowsOp(VarId a) {
   nodes_[static_cast<std::size_t>(id)].backward = [this, a, id, inv] {
     const Matrix& dout = grad(id);
     Matrix& da = mutable_grad(a);
-    ParallelOverRowBlocks(da.rows, da.cols, [&](int row_begin, int row_end) {
-      for (int i = row_begin; i < row_end; ++i) {
-        auto dst = da.row(i);
-        for (int j = 0; j < da.cols; ++j) dst[j] += inv * dout.at(0, j);
-      }
-    });
+    for (int i = 0; i < da.rows; ++i) {
+      auto dst = da.row(i);
+      for (int j = 0; j < da.cols; ++j) dst[j] += inv * dout.at(0, j);
+    }
   };
   return id;
 }
@@ -402,37 +297,32 @@ VarId Tape::L2NormalizeRowsOp(VarId a, float epsilon) {
   const Matrix& av = value(a);
   Matrix out = ScratchArena::AcquireUninit(av.rows, av.cols);
   std::vector<float> inv_norms(static_cast<std::size_t>(av.rows));
-  ParallelOverRowBlocks(av.rows, av.cols, [&](int row_begin, int row_end) {
-    for (int i = row_begin; i < row_end; ++i) {
-      const auto row = av.row(i);
-      double sq = 0.0;
-      for (float x : row) sq += static_cast<double>(x) * x;
-      const auto inv = static_cast<float>(1.0 / std::sqrt(sq + epsilon));
-      inv_norms[static_cast<std::size_t>(i)] = inv;
-      auto orow = out.row(i);
-      for (int j = 0; j < av.cols; ++j) orow[j] = row[j] * inv;
-    }
-  });
+  for (int i = 0; i < av.rows; ++i) {
+    const auto row = av.row(i);
+    double sq = 0.0;
+    for (float x : row) sq += static_cast<double>(x) * x;
+    const auto inv = static_cast<float>(1.0 / std::sqrt(sq + epsilon));
+    inv_norms[static_cast<std::size_t>(i)] = inv;
+    auto orow = out.row(i);
+    for (int j = 0; j < av.cols; ++j) orow[j] = row[j] * inv;
+  }
   const VarId id = Emplace(std::move(out));
   nodes_[static_cast<std::size_t>(id)].backward =
       [this, a, id, inv_norms = std::move(inv_norms)] {
         const Matrix& dout = grad(id);
         const Matrix& y = value(id);
         Matrix& da = mutable_grad(a);
-        ParallelOverRowBlocks(
-            dout.rows, dout.cols, [&](int row_begin, int row_end) {
-              for (int i = row_begin; i < row_end; ++i) {
-                const auto drow = dout.row(i);
-                const auto yrow = y.row(i);
-                auto dst = da.row(i);
-                float dot = 0.0f;
-                for (int j = 0; j < dout.cols; ++j) dot += drow[j] * yrow[j];
-                const float inv = inv_norms[static_cast<std::size_t>(i)];
-                for (int j = 0; j < dout.cols; ++j) {
-                  dst[j] += inv * (drow[j] - yrow[j] * dot);
-                }
-              }
-            });
+        for (int i = 0; i < dout.rows; ++i) {
+          const auto drow = dout.row(i);
+          const auto yrow = y.row(i);
+          auto dst = da.row(i);
+          float dot = 0.0f;
+          for (int j = 0; j < dout.cols; ++j) dot += drow[j] * yrow[j];
+          const float inv = inv_norms[static_cast<std::size_t>(i)];
+          for (int j = 0; j < dout.cols; ++j) {
+            dst[j] += inv * (drow[j] - yrow[j] * dot);
+          }
+        }
       };
   return id;
 }
@@ -447,8 +337,7 @@ VarId Tape::PpoLossOp(VarId logits, std::span<const int> actions,
 
   Matrix logp;
   RowLogSoftmax(z, logp);
-  // The objective/entropy sums are row-ordered scalar reductions; they stay
-  // serial so the accumulation order is fixed.
+  // The objective/entropy sums are scalar reductions in row order.
   double objective_sum = 0.0;
   double entropy_sum = 0.0;
   for (int i = 0; i < n; ++i) {
@@ -482,34 +371,30 @@ VarId Tape::PpoLossOp(VarId logits, std::span<const int> actions,
         RowLogSoftmax(z, logp);
         Matrix& dz = mutable_grad(logits);
         const float scale = upstream / static_cast<float>(n);
-        // Rows are independent (dz row i only reads logp row i), so the
-        // block split reorders no arithmetic.
-        ParallelOverRowBlocks(n, c, [&](int row_begin, int row_end) {
-          for (int i = row_begin; i < row_end; ++i) {
-            const auto lp = logp.row(i);
-            const int action = actions_copy[static_cast<std::size_t>(i)];
-            const double r = std::exp(static_cast<double>(
-                lp[action] - old_copy[static_cast<std::size_t>(i)]));
-            // PPO ratio gradient: zero when the clip bound is the active min.
-            const bool clip_active =
-                (advantage > 0.0 && r > 1.0 + clip_epsilon) ||
-                (advantage < 0.0 && r < 1.0 - clip_epsilon);
-            const double g_r = clip_active ? 0.0 : advantage * r;
-            double entropy = 0.0;
-            for (int j = 0; j < c; ++j) {
-              entropy -= std::exp(static_cast<double>(lp[j])) * lp[j];
-            }
-            auto dst = dz.row(i);
-            for (int j = 0; j < c; ++j) {
-              const double p = std::exp(static_cast<double>(lp[j]));
-              // d(-obj)/dz_j = -g_r * (1[j==a] - p_j)
-              double g = -g_r * ((j == action ? 1.0 : 0.0) - p);
-              // d(-coef*H)/dz_j = coef * p_j * (log p_j + H)
-              g += entropy_coef * p * (lp[j] + entropy);
-              dst[j] += scale * static_cast<float>(g);
-            }
+        for (int i = 0; i < n; ++i) {
+          const auto lp = logp.row(i);
+          const int action = actions_copy[static_cast<std::size_t>(i)];
+          const double r = std::exp(static_cast<double>(
+              lp[action] - old_copy[static_cast<std::size_t>(i)]));
+          // PPO ratio gradient: zero when the clip bound is the active min.
+          const bool clip_active =
+              (advantage > 0.0 && r > 1.0 + clip_epsilon) ||
+              (advantage < 0.0 && r < 1.0 - clip_epsilon);
+          const double g_r = clip_active ? 0.0 : advantage * r;
+          double entropy = 0.0;
+          for (int j = 0; j < c; ++j) {
+            entropy -= std::exp(static_cast<double>(lp[j])) * lp[j];
           }
-        });
+          auto dst = dz.row(i);
+          for (int j = 0; j < c; ++j) {
+            const double p = std::exp(static_cast<double>(lp[j]));
+            // d(-obj)/dz_j = -g_r * (1[j==a] - p_j)
+            double g = -g_r * ((j == action ? 1.0 : 0.0) - p);
+            // d(-coef*H)/dz_j = coef * p_j * (log p_j + H)
+            g += entropy_coef * p * (lp[j] + entropy);
+            dst[j] += scale * static_cast<float>(g);
+          }
+        }
         ScratchArena::Release(std::move(logp));
       };
   return id;
@@ -539,13 +424,9 @@ VarId Tape::AddScaled(VarId a, double wa, VarId b, double wb) {
     const float* ap = av.data.data();
     const float* bp = bv.data.data();
     float* op = out.data.data();
-    ParallelOverElements(out.data.size(),
-                         [&](std::size_t begin, std::size_t end) {
-                           for (std::size_t i = begin; i < end; ++i) {
-                             op[i] = static_cast<float>(wa) * ap[i] +
-                                     static_cast<float>(wb) * bp[i];
-                           }
-                         });
+    for (std::size_t i = 0; i < out.data.size(); ++i) {
+      op[i] = static_cast<float>(wa) * ap[i] + static_cast<float>(wb) * bp[i];
+    }
   }
   const VarId id = Emplace(std::move(out));
   nodes_[static_cast<std::size_t>(id)].backward = [this, a, b, id, wa, wb] {
@@ -555,13 +436,10 @@ VarId Tape::AddScaled(VarId a, double wa, VarId b, double wb) {
     const float* d = dout.data.data();
     float* ga = da.data.data();
     float* gb = db.data.data();
-    ParallelOverElements(dout.data.size(),
-                         [&](std::size_t begin, std::size_t end) {
-                           for (std::size_t i = begin; i < end; ++i) {
-                             ga[i] += static_cast<float>(wa) * d[i];
-                             gb[i] += static_cast<float>(wb) * d[i];
-                           }
-                         });
+    for (std::size_t i = 0; i < dout.data.size(); ++i) {
+      ga[i] += static_cast<float>(wa) * d[i];
+      gb[i] += static_cast<float>(wb) * d[i];
+    }
   };
   return id;
 }

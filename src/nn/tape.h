@@ -30,31 +30,20 @@ struct NeighborLists {
   std::vector<int> offsets;
   std::vector<int> indices;
 
-  // Derived form built by Finalize(), consumed by NeighborMeanOp:
-  //   * inv_degree[i] = 1 / |N(i)| (0 for isolated rows), hoisting the
-  //     division out of both passes.
-  //   * Reverse CSR (the transpose adjacency): the forward rows that
-  //     aggregate node j are rev_rows[rev_offsets[j] .. rev_offsets[j+1]),
-  //     stored in (row, edge-position) order.  The backward pass gathers
-  //     along it, so the gradient scatter becomes a deterministic per-row
-  //     reduction that parallelizes without atomics -- and, because the
-  //     gather order equals the serial scatter order, produces bit-identical
-  //     sums.
+  // Built by Finalize(), consumed by NeighborMeanOp: inv_degree[i] =
+  // 1 / |N(i)| (0 for isolated rows), hoisting the division out of both
+  // passes.
   std::vector<float> inv_degree;
-  std::vector<int> rev_offsets;
-  std::vector<int> rev_rows;
 
   int num_rows() const { return static_cast<int>(offsets.size()) - 1; }
 
-  // Validates offsets/indices (MCM_CHECK on malformed input) and builds the
-  // derived form above.  BuildNeighborLists returns finalized lists; call
-  // this after filling offsets/indices by hand.  Must not race with readers:
-  // finalize before sharing the lists across threads.
+  // Validates offsets/indices (MCM_CHECK on malformed input) and builds
+  // inv_degree.  BuildNeighborLists returns finalized lists; call this after
+  // filling offsets/indices by hand.  Must not race with readers: finalize
+  // before sharing the lists across threads.
   void Finalize();
   bool finalized() const {
-    return rev_offsets.size() == offsets.size() &&
-           rev_rows.size() == indices.size() &&
-           inv_degree.size() == static_cast<std::size_t>(num_rows());
+    return inv_degree.size() == static_cast<std::size_t>(num_rows());
   }
 };
 

@@ -170,8 +170,6 @@ namespace {
 std::mutex g_default_mu;
 int g_default_threads = 0;  // 0 = not yet resolved.  mcmlint: guarded-by(g_default_mu)
 std::unique_ptr<ThreadPool> g_default_pool;  // mcmlint: guarded-by(g_default_mu)
-int g_nn_threads = -1;  // -1 = not yet resolved, 0 = inherit.  mcmlint: guarded-by(g_default_mu)
-std::unique_ptr<ThreadPool> g_nn_pool;  // mcmlint: guarded-by(g_default_mu)
 
 int ResolveThreadCount() {
   // 0 = "use hardware concurrency"; negatives are clamped with a warning.
@@ -181,19 +179,10 @@ int ResolveThreadCount() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-// Both called with g_default_mu held.
+// Called with g_default_mu held.
 int DefaultThreadCountLocked() {
   if (g_default_threads == 0) g_default_threads = ResolveThreadCount();
   return g_default_threads;
-}
-
-int NnThreadCountLocked() {
-  if (g_nn_threads == -1) {
-    // 0 = "inherit the default thread count"; negatives clamp with a warning.
-    g_nn_threads =
-        static_cast<int>(GetEnvInt("MCMPART_NN_THREADS", 0, 0, 4096));
-  }
-  return g_nn_threads >= 1 ? g_nn_threads : DefaultThreadCountLocked();
 }
 
 }  // namespace
@@ -209,8 +198,6 @@ void SetDefaultThreadCount(int num_threads) {
   if (num_threads == g_default_threads && g_default_pool != nullptr) return;
   g_default_threads = num_threads;
   g_default_pool.reset();  // Rebuilt at the next DefaultPool() call.
-  // An inheriting NN pool was sized off the old default; rebuild it too.
-  if (g_nn_threads <= 0) g_nn_pool.reset();
 }
 
 ThreadPool& DefaultPool() {
@@ -226,40 +213,7 @@ void ParallelFor(std::int64_t begin, std::int64_t end,
   DefaultPool().ParallelFor(begin, end, fn);
 }
 
-int NnThreadCount() {
-  std::lock_guard<std::mutex> lock(g_default_mu);
-  return NnThreadCountLocked();
-}
-
-void SetNnThreadCount(int num_threads) {
-  std::lock_guard<std::mutex> lock(g_default_mu);
-  const int want = std::max(0, num_threads);
-  if (want == g_nn_threads) return;
-  g_nn_threads = want;
-  g_nn_pool.reset();  // Rebuilt (if still needed) at the next NnPool() call.
-}
-
-ThreadPool& NnPool() {
-  std::lock_guard<std::mutex> lock(g_default_mu);
-  const int want = NnThreadCountLocked();
-  if (want == DefaultThreadCountLocked()) {
-    // Common case (inherit, or an override equal to the default): alias the
-    // default pool so the process runs one worker set, not two.
-    if (g_default_pool == nullptr) {
-      g_default_pool = std::make_unique<ThreadPool>(DefaultThreadCountLocked());
-    }
-    return *g_default_pool;
-  }
-  if (g_nn_pool == nullptr || g_nn_pool->num_threads() != want) {
-    g_nn_pool = std::make_unique<ThreadPool>(want);
-  }
-  return *g_nn_pool;
-}
-
-void NnParallelFor(std::int64_t begin, std::int64_t end,
-                   const std::function<void(std::int64_t)>& fn) {
-  NnPool().ParallelFor(begin, end, fn);
-}
+int NnThreadCount() { return DefaultThreadCount(); }
 
 // ---- Task groups ------------------------------------------------------------
 

@@ -92,33 +92,9 @@ ThreadPool& DefaultPool();
 void ParallelFor(std::int64_t begin, std::int64_t end,
                  const std::function<void(std::int64_t)>& fn);
 
-// ---- NN kernel pool ---------------------------------------------------------
-//
-// The nn/ kernels (GEMM panels, tape ops, Adam) run their intra-op
-// parallelism on a separately tunable knob: MCMPART_NN_THREADS or
-// `--nn-threads N` on the CLI/benches.  Unset (or set to 0) it inherits the
-// runtime thread count, in which case NnPool() aliases DefaultPool() and no
-// extra threads exist.  A distinct value builds a dedicated pool, letting
-// deployments pin kernel parallelism (say, to 1 under heavy inter-op rollout
-// fan-out) without touching the rollout/search pool.  Per the determinism
-// contract, every value produces bit-identical results.
-
-// The resolved NN parallelism: the explicit override when set (>= 1),
-// otherwise DefaultThreadCount().
+// perfbench still prints an NN thread count; the NN kernels run their GEMMs
+// on the default pool, so this is DefaultThreadCount().
 int NnThreadCount();
-
-// Overrides the NN parallelism (the CLI's --nn-threads).  Values <= 0 reset
-// to "inherit the default thread count".  As with SetDefaultThreadCount,
-// must not race with parallel work running on the NN pool.
-void SetNnThreadCount(int num_threads);
-
-// Pool serving the NN kernels: DefaultPool() when the resolved count matches
-// the default count, else a lazily (re)built dedicated pool.
-ThreadPool& NnPool();
-
-// ParallelFor on the NN pool.
-void NnParallelFor(std::int64_t begin, std::int64_t end,
-                   const std::function<void(std::int64_t)>& fn);
 
 // ---- Task groups ------------------------------------------------------------
 

@@ -352,6 +352,7 @@ void Server::BeginShutdown() {
 void Server::Run() {
   MCM_CHECK(listen_fd_ >= 0 || draining_);
   const double started_s = telemetry::MonotonicSeconds();
+  double flush_deadline_s = -1.0;  // Set once the drain has nothing in flight.
 
   while (true) {
     if (shutdown_requested_.load(std::memory_order_relaxed) ||
@@ -368,14 +369,27 @@ void Server::Run() {
     }
     for (const std::int64_t id : closable) CloseConnection(id);
 
-    if (draining_) {
-      // Drain is complete when every admitted request has been delivered
-      // and every response byte flushed (or its connection abandoned).
-      bool flushed = inflight_total_ == 0;
+    if (draining_ && inflight_total_ == 0) {
+      // Every admitted request has been delivered.  The drain is complete
+      // once every response byte is flushed, or when the flush deadline
+      // passes, which drops what clients left unread.
+      std::vector<std::int64_t> unflushed;
+      std::size_t unsent_bytes = 0;
       for (auto& [id, conn] : connections_) {
-        if (!conn.write_buffer.empty()) flushed = false;
+        if (conn.write_buffer.empty()) continue;
+        unflushed.push_back(id);
+        unsent_bytes += conn.write_buffer.size();
       }
-      if (flushed) break;
+      if (unflushed.empty()) break;
+      const double now_s = telemetry::MonotonicSeconds();
+      if (flush_deadline_s < 0.0) flush_deadline_s = now_s + kDrainFlushSeconds;
+      if (now_s >= flush_deadline_s) {
+        MCM_LOG(kWarning) << "service: drain flush deadline passed; closing "
+                          << unflushed.size() << " connections with "
+                          << unsent_bytes << " unsent bytes";
+        for (const std::int64_t id : unflushed) CloseConnection(id);
+        break;
+      }
     }
 
     std::vector<pollfd> fds;
@@ -430,7 +444,7 @@ void Server::Run() {
   executors_->Wait();
   executors_.reset();
   exec_pool_.reset();
-  MCM_LOG(kInfo) << "service: drained cleanly (" << completed_
+  MCM_LOG(kInfo) << "service: drained (" << completed_
                 << " completed, " << drained_ << " during drain)";
   WriteReport(started_s);
 }

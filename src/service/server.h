@@ -17,9 +17,12 @@
 // close the admission queue, wait for the executors to finish every
 // admitted request, flush all pending responses, and return from Run().
 // No admitted request is ever dropped; requests finished after the
-// shutdown signal are counted in service/drained.  When a report path is
-// configured, a telemetry RunReport (uptime, totals, full metrics
-// snapshot) is written as the final act of Run().
+// shutdown signal are counted in service/drained.  Responses a client has
+// not read kDrainFlushSeconds after the last request finished are dropped
+// with their connection, so a client that never reads cannot hold the
+// drain open.  When a report path is configured, a telemetry RunReport
+// (uptime, totals, full metrics snapshot) is written as the final act of
+// Run().
 //
 // Determinism: the daemon adds no decision points of its own -- every
 // response is produced by ExecutePartitionRequest (handler.h), a pure
@@ -53,6 +56,11 @@ namespace mcm::service {
 // reading the connection, so a client that pipelines requests without
 // reading the responses stalls instead of growing the daemon.
 inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{16} << 20;
+
+// How long the graceful drain waits, once every admitted request has
+// finished, for clients to read their responses.  After it, connections that
+// still hold unsent bytes are closed.
+inline constexpr double kDrainFlushSeconds = 2.0;
 
 struct ServerConfig {
   std::string socket_path;

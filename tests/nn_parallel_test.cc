@@ -1,8 +1,6 @@
-// Tests for the NN-kernel intra-op parallelism: the --nn-threads knob, and
-// the bit-identical-at-any-thread-count contract for the GEMMs, the
-// NeighborMean forward/backward (reverse-CSR gather vs. the serial scatter
-// reference), Adam, and a full PPO update.
-#include <cstdint>
+// Tests for the bit-identical-at-any-thread-count contract of the NN kernels:
+// the GEMMs (the only kernels that fan out), the NeighborMean forward and
+// backward (against a serial scatter reference), Adam, and a full PPO update.
 #include <utility>
 #include <vector>
 
@@ -29,45 +27,21 @@ Matrix RandomMatrix(int rows, int cols, Rng& rng, double scale = 1.0) {
   return m;
 }
 
-// Restores the NN thread count (and the inherit default) on scope exit so
-// tests cannot leak an override into each other.
-class NnThreadGuard {
+// Restores the default thread count on scope exit so tests cannot leak an
+// override into each other.
+class ThreadCountGuard {
  public:
-  NnThreadGuard() = default;
-  ~NnThreadGuard() { SetNnThreadCount(0); }
+  ThreadCountGuard() = default;
+  ~ThreadCountGuard() { SetDefaultThreadCount(previous_); }
+
+ private:
+  const int previous_ = DefaultThreadCount();
 };
-
-TEST(NnPoolTest, OverrideAndInheritSemantics) {
-  NnThreadGuard guard;
-  SetNnThreadCount(3);
-  EXPECT_EQ(NnThreadCount(), 3);
-  EXPECT_EQ(NnPool().num_threads(), 3);
-  // 0 resets to "inherit the runtime thread count" and aliases the default
-  // pool (no second worker set for the common configuration).
-  SetNnThreadCount(0);
-  EXPECT_EQ(NnThreadCount(), DefaultThreadCount());
-  EXPECT_EQ(&NnPool(), &DefaultPool());
-  // An explicit override equal to the default also aliases.
-  SetNnThreadCount(DefaultThreadCount());
-  EXPECT_EQ(&NnPool(), &DefaultPool());
-}
-
-TEST(NnPoolTest, NnParallelForCoversRangeAtAnyCount) {
-  NnThreadGuard guard;
-  for (int threads : {1, 4}) {
-    SetNnThreadCount(threads);
-    constexpr std::int64_t kN = 500;
-    std::vector<int> hits(kN, 0);
-    // Each index is claimed exactly once, so plain writes do not race.
-    NnParallelFor(0, kN, [&](std::int64_t i) { ++hits[static_cast<std::size_t>(i)]; });
-    for (std::int64_t i = 0; i < kN; ++i) EXPECT_EQ(hits[static_cast<std::size_t>(i)], 1) << i;
-  }
-}
 
 // Shapes large enough to take the parallel GEMM paths (>= 2^22 flops, rows
 // beyond one panel for MatMul/TransB, reduction beyond two slabs for TransA).
-TEST(NnParallelTest, GemmBitIdenticalAcrossNnThreadCounts) {
-  NnThreadGuard guard;
+TEST(NnParallelTest, GemmBitIdenticalAcrossThreadCounts) {
+  ThreadCountGuard guard;
   Rng rng(21);
   const Matrix a = RandomMatrix(600, 640, rng);   // [m x k]
   const Matrix b = RandomMatrix(640, 128, rng);   // [k x n]
@@ -75,7 +49,7 @@ TEST(NnParallelTest, GemmBitIdenticalAcrossNnThreadCounts) {
   const Matrix bt = RandomMatrix(128, 640, rng);  // [n x k]
 
   auto run = [&](int threads) {
-    SetNnThreadCount(threads);
+    SetDefaultThreadCount(threads);
     Matrix ab, atc, abt;
     MatMul(a, b, ab);          // Row-panel path.
     MatMulTransA(a, c, atc);   // k-slab path (reduction over the 600 rows).
@@ -105,13 +79,13 @@ NeighborLists RandomLists(int rows, int max_degree, Rng& rng) {
   return lists;
 }
 
-TEST(NnParallelTest, NeighborMeanForwardBitIdenticalAcrossNnThreadCounts) {
-  NnThreadGuard guard;
+TEST(NnParallelTest, NeighborMeanForwardBitIdenticalAcrossThreadCounts) {
+  ThreadCountGuard guard;
   Rng rng(22);
   const NeighborLists lists = RandomLists(512, 6, rng);
-  const Matrix x = RandomMatrix(512, 64, rng);  // 512*64 exceeds the cutover.
+  const Matrix x = RandomMatrix(512, 64, rng);
   auto run = [&](int threads) {
-    SetNnThreadCount(threads);
+    SetDefaultThreadCount(threads);
     Tape tape;
     return tape.value(tape.NeighborMeanOp(tape.Constant(x), &lists));
   };
@@ -120,15 +94,15 @@ TEST(NnParallelTest, NeighborMeanForwardBitIdenticalAcrossNnThreadCounts) {
   EXPECT_EQ(one.data, four.data);
 }
 
-// Backward fuzz: the reverse-CSR gather must reproduce the serial scatter
+// Backward fuzz: the op's backward must reproduce the serial scatter
 // reference EXACTLY (same floats), across random graphs with isolated nodes
-// and duplicate edges, at a thread count that exercises the parallel path.
+// and duplicate edges, with the readout GEMMs on a 4-thread pool.
 TEST(NnParallelTest, NeighborMeanBackwardMatchesScatterReferenceExactly) {
-  NnThreadGuard guard;
-  SetNnThreadCount(4);
+  ThreadCountGuard guard;
+  SetDefaultThreadCount(4);
   Rng rng(23);
   for (int round = 0; round < 8; ++round) {
-    const int rows = 257 + 37 * round;  // Straddles the row-block boundary.
+    const int rows = 257 + 37 * round;
     const int cols = 64;
     const NeighborLists lists = RandomLists(rows, 5 + round, rng);
     const Matrix x = RandomMatrix(rows, cols, rng);
@@ -146,8 +120,8 @@ TEST(NnParallelTest, NeighborMeanBackwardMatchesScatterReferenceExactly) {
         tape.MatMulOp(tape.MeanRowsOp(y), tape.Constant(ones));
     tape.Backward(loss);
 
-    // Reference: the pre-rewrite serial scatter, applied to the tape's own
-    // upstream gradient dy.
+    // Reference: a serial scatter with the division done per row, applied to
+    // the tape's own upstream gradient dy.
     const Matrix& dy = tape.grad(y);
     Matrix expect(rows, cols);
     for (int i = 0; i < rows; ++i) {
@@ -165,10 +139,10 @@ TEST(NnParallelTest, NeighborMeanBackwardMatchesScatterReferenceExactly) {
   }
 }
 
-TEST(NnParallelTest, AdamStepBitIdenticalAcrossNnThreadCounts) {
-  NnThreadGuard guard;
+TEST(NnParallelTest, AdamStepBitIdenticalAcrossThreadCounts) {
+  ThreadCountGuard guard;
   auto run = [](int threads) {
-    SetNnThreadCount(threads);
+    SetDefaultThreadCount(threads);
     Rng rng(24);
     Mlp net("mlp", {64, 128, 128, 8}, rng);
     Adam adam(net.Params());
@@ -190,7 +164,7 @@ TEST(NnParallelTest, AdamStepBitIdenticalAcrossNnThreadCounts) {
   }
 }
 
-// ---- Full PPO update across NN thread counts --------------------------------
+// ---- Full PPO update across thread counts -----------------------------------
 
 RlConfig TinyConfig() {
   RlConfig config = RlConfig::Quick();
@@ -209,10 +183,9 @@ struct PpoRunResult {
   std::vector<Matrix> params;
 };
 
-// As tests/runtime_test.cc's RunPpo, but varying ONLY the NN kernel
-// parallelism; the rollout pool stays at its default size.
-PpoRunResult RunPpoAtNnThreads(int nn_threads, int iterations) {
-  SetNnThreadCount(nn_threads);
+// As tests/runtime_test.cc's RunPpo, on the tiny policy above.
+PpoRunResult RunPpoAtThreads(int threads, int iterations) {
+  SetDefaultThreadCount(threads);
   const Graph g = MakeMlp("m", 64, {64, 64}, 10);
   AnalyticalCostModel model{McmConfig{}};
   GraphContext context(g, 36);
@@ -232,10 +205,10 @@ PpoRunResult RunPpoAtNnThreads(int nn_threads, int iterations) {
   return out;
 }
 
-TEST(NnParallelTest, PpoUpdateBitIdenticalAcrossNnThreadCounts) {
-  NnThreadGuard guard;
-  const PpoRunResult one = RunPpoAtNnThreads(/*nn_threads=*/1, /*iterations=*/2);
-  const PpoRunResult four = RunPpoAtNnThreads(/*nn_threads=*/4, /*iterations=*/2);
+TEST(NnParallelTest, PpoUpdateBitIdenticalAcrossThreadCounts) {
+  ThreadCountGuard guard;
+  const PpoRunResult one = RunPpoAtThreads(/*threads=*/1, /*iterations=*/2);
+  const PpoRunResult four = RunPpoAtThreads(/*threads=*/4, /*iterations=*/2);
 
   ASSERT_EQ(one.rewards.size(), four.rewards.size());
   for (std::size_t it = 0; it < one.rewards.size(); ++it) {

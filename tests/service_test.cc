@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -337,7 +338,10 @@ class ServerFixture {
     }
     server_ = std::make_unique<Server>(config);
     server_->Start();
-    thread_ = std::thread([this] { server_->Run(); });
+    thread_ = std::thread([this] {
+      server_->Run();
+      run_returned_.set_value();
+    });
   }
 
   ~ServerFixture() {
@@ -350,8 +354,17 @@ class ServerFixture {
     return server_->config().socket_path;
   }
 
+  // Requests the drain and waits up to `timeout` for Run() to return.
+  bool ShutdownWithin(std::chrono::seconds timeout) {
+    server_->Shutdown();
+    return run_returned_future_.wait_for(timeout) ==
+           std::future_status::ready;
+  }
+
  private:
   std::unique_ptr<Server> server_;
+  std::promise<void> run_returned_;
+  std::future<void> run_returned_future_ = run_returned_.get_future();
   std::thread thread_;
 };
 
@@ -367,6 +380,35 @@ int ConnectRaw(const std::string& socket_path) {
     return -1;
   }
   return fd;
+}
+
+// Pipelines malformed lines on the non-blocking `fd` and never reads the
+// error responses.  Each response is far longer than its line, so the server
+// reaches kMaxRequestLineBytes of unsent responses after about 1 MB of input,
+// stops reading, and the socket buffers fill: the sends must stall well
+// before kSendLimit.  Returns whether they stalled.
+bool StallWithUnreadResponses(int fd) {
+  constexpr std::size_t kSendLimit = std::size_t{8} << 20;
+  std::string lines;
+  for (int i = 0; i < 4096; ++i) lines += "x\n";
+  std::size_t sent = 0;
+  while (sent < kSendLimit) {
+    const ssize_t n = send(fd, lines.data(), lines.size(), MSG_NOSIGNAL);
+    if (n > 0) {
+      sent += static_cast<std::size_t>(n);
+      continue;
+    }
+    const bool would_block =
+        n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR);
+    if (!would_block) {
+      ADD_FAILURE() << std::strerror(errno);
+      return false;
+    }
+    pollfd writable{fd, POLLOUT, 0};
+    if (poll(&writable, 1, /*timeout_ms=*/1000) == 0) return true;
+  }
+  ADD_FAILURE() << "sent " << sent << " bytes without stalling";
+  return false;
 }
 
 TEST(ServerTest, DefaultExecutorsAreOneMoreThanTheDefaultThreads) {
@@ -518,35 +560,26 @@ TEST(ServerTest, ClientThatNeverReadsStallsWithoutStarvingOthers) {
   const int fd = ConnectRaw(fixture.socket_path());
   ASSERT_GE(fd, 0) << std::strerror(errno);
   ASSERT_EQ(fcntl(fd, F_SETFL, O_NONBLOCK), 0);
-
-  // Pipeline malformed lines and never read the error responses.  Each
-  // response is far longer than its line, so the server reaches
-  // kMaxRequestLineBytes of unsent responses after about 1 MB of input,
-  // stops reading, and the socket buffers fill: the writes must stall well
-  // before kSendLimit.
-  constexpr std::size_t kSendLimit = std::size_t{8} << 20;
-  std::string lines;
-  for (int i = 0; i < 4096; ++i) lines += "x\n";
-  std::size_t sent = 0;
-  bool stalled = false;
-  while (!stalled && sent < kSendLimit) {
-    const ssize_t n = send(fd, lines.data(), lines.size(), MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<std::size_t>(n);
-      continue;
-    }
-    ASSERT_TRUE(n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK ||
-                          errno == EINTR))
-        << std::strerror(errno);
-    pollfd writable{fd, POLLOUT, 0};
-    stalled = poll(&writable, 1, /*timeout_ms=*/1000) == 0;
-  }
-  EXPECT_TRUE(stalled) << "sent " << sent << " bytes without stalling";
+  EXPECT_TRUE(StallWithUnreadResponses(fd));
 
   ServiceClient client(fixture.socket_path());
   const PartitionResponse good = client.Call(SmallRequest(4));
   EXPECT_TRUE(good.ok) << good.error;
   close(fd);  // Lets the drain finish: its responses are abandoned.
+}
+
+TEST(ServerTest, DrainDropsResponsesAClientNeverReadsAfterTheFlushDeadline) {
+  ServerFixture fixture(ServerConfig{});
+  const int fd = ConnectRaw(fixture.socket_path());
+  ASSERT_GE(fd, 0) << std::strerror(errno);
+  ASSERT_EQ(fcntl(fd, F_SETFL, O_NONBLOCK), 0);
+  EXPECT_TRUE(StallWithUnreadResponses(fd));
+
+  // The stalled client keeps its socket open and never reads, so only the
+  // flush deadline can end the drain.
+  const bool returned = fixture.ShutdownWithin(std::chrono::seconds(10));
+  close(fd);  // When the drain hangs, this lets it finish so the test exits.
+  EXPECT_TRUE(returned) << "Run() still draining 10 s after Shutdown()";
 }
 
 TEST(ServerTest, SecondServerInTheProcessServesUntilItsOwnShutdown) {

@@ -26,9 +26,6 @@
 //     --threads N      worker threads (default: MCMPART_THREADS env,
 //                      else hardware concurrency); results are identical
 //                      for any N
-//     --nn-threads N   intra-op parallelism of the NN kernels (default:
-//                      MCMPART_NN_THREADS env, else inherit --threads);
-//                      results are identical for any N
 //     --out FILE       write "node chip" lines of the best partition
 //     --trace-out FILE    write Chrome trace-event JSON (spans)
 //     --metrics-out FILE  write a metrics/run-report JSON
@@ -43,7 +40,7 @@
 //     --checkpoint F / --checkpoint-shape S / --chips N
 //                      pre-trained policy served to zeroshot/finetune
 //                      requests (--chips must match the checkpoint)
-//     --threads N / --nn-threads N    runtime pools, as for partition
+//     --threads N      worker threads, as for partition
 //     --metrics-out FILE  write a RunReport after the graceful drain
 //     SIGTERM/SIGINT drain gracefully: finish in-flight work, flush, exit 0.
 //   mcmpart request <in.graph> [options]      one request against a daemon
@@ -60,7 +57,7 @@
 //     --chips N        chiplets in the package           (default 8)
 //     --model M        analytical | hwsim (hwsim degrades to the
 //                      analytical model on permanent evaluation failure)
-//     --seed S / --threads N / --nn-threads N   as for partition
+//     --seed S / --threads N   as for partition
 //     --checkpoint-dir DIR  save resumable state into DIR
 //     --checkpoint-every K  save state every K iterations (default 1
 //                      when a checkpoint dir is set)
@@ -122,18 +119,17 @@ int Usage() {
                " [--model analytical|hwsim]"
                " [--objective throughput|latency] [--seed S] [--deadline-ms D]"
                " [--checkpoint F] [--checkpoint-shape quick|pretrain]"
-               " [--threads N] [--nn-threads N] [--out FILE]\n"
+               " [--threads N] [--out FILE]\n"
                "       mcmpart serve --socket PATH [--queue-depth N]"
                " [--cache N] [--executors N] [--checkpoint F]"
                " [--checkpoint-shape quick|pretrain] [--chips N] [--threads N]"
-               " [--nn-threads N] [--metrics-out FILE]\n"
+               " [--metrics-out FILE]\n"
                "       mcmpart request <in.graph> --socket PATH [--id ID]"
                " [--method M] [--model M] [--objective O] [--chips N]"
                " [--budget B] [--seed S] [--deadline-ms D] [--out FILE]\n"
                "       mcmpart pretrain [--graphs N] [--val-graphs N]"
                " [--samples N] [--checkpoints N] [--chips N]"
                " [--model analytical|hwsim] [--seed S] [--threads N]"
-               " [--nn-threads N]"
                " [--checkpoint-dir DIR] [--checkpoint-every K] [--resume]"
                " [--stop-after N] [--validate] [--save-best F]"
                " [--metrics-out FILE]\n");
@@ -256,7 +252,6 @@ int RunPartition(const Graph& graph, int argc, char** argv) {
     else if (arg == "--checkpoint") checkpoint_path = next();
     else if (arg == "--checkpoint-shape") checkpoint_shape = next();
     else if (arg == "--threads") SetDefaultThreadCount(std::stoi(next()));
-    else if (arg == "--nn-threads") SetNnThreadCount(std::stoi(next()));
     else if (arg == "--out") out_path = next();
     else if (arg == "--trace-out") trace_path = next();
     else if (arg == "--metrics-out") metrics_path = next();
@@ -319,7 +314,6 @@ int RunServe(int argc, char** argv) {
     else if (arg == "--checkpoint") checkpoint_path = next();
     else if (arg == "--checkpoint-shape") checkpoint_shape = next();
     else if (arg == "--threads") SetDefaultThreadCount(std::stoi(next()));
-    else if (arg == "--nn-threads") SetNnThreadCount(std::stoi(next()));
     else if (arg == "--metrics-out") config.report_path = next();
     else throw UsageError("unknown option: " + arg);
   }
@@ -417,7 +411,6 @@ int RunPretrain(int argc, char** argv) {
     else if (arg == "--model") model_name = next();
     else if (arg == "--seed") seed = std::stoull(next());
     else if (arg == "--threads") SetDefaultThreadCount(std::stoi(next()));
-    else if (arg == "--nn-threads") SetNnThreadCount(std::stoi(next()));
     else if (arg == "--checkpoint-dir") checkpoint_dir = next();
     else if (arg == "--checkpoint-every") checkpoint_every = std::stoi(next());
     else if (arg == "--resume") resume = true;
