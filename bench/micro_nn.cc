@@ -23,6 +23,7 @@
 #include "micro_common.h"
 
 #include "common/logging.h"
+#include "common/stats.h"
 #include "costmodel/cost_model.h"
 #include "graph/generators.h"
 #include "nn/matrix.h"
@@ -277,8 +278,8 @@ float SageFwdBwd(GraphSageNetwork& net, const Matrix& features,
 }
 
 // Times the fwd+bwd pass at 1 vs 8 threads, MCM_CHECKing bit-identical
-// losses and parameter gradients between the runs, and records
-// gate/nn_threaded_over_serial_ratio.  The ratio is a same-machine
+// losses and parameter gradients between the runs, and records the ratio of
+// the median passes as gate/nn_threaded_over_serial_ratio.  The ratio is a same-machine
 // comparison: < 1 whenever cores are available, ~1 on a single core; a
 // regression (threading overhead without payoff, or a broken parallel path)
 // pushes it well above 1.
@@ -290,7 +291,7 @@ void MeasureNnParallelGate(telemetry::RunReport& report) {
   const Matrix features = RandomMatrix(graph.NumNodes(), kSageHiddenDim, 16);
   Matrix ones(kSageHiddenDim, 1);
   std::fill(ones.data.begin(), ones.data.end(), 1.0f);
-  const int reps = 5;
+  const int reps = 9;
 
   // Identity check first: same loss, same gradient bits at both counts.
   const int previous_threads = DefaultThreadCount();
@@ -314,20 +315,24 @@ void MeasureNnParallelGate(telemetry::RunReport& report) {
     }
   }
 
-  double elapsed[2] = {0.0, 0.0};
-  float sinks[2] = {0.0f, 0.0f};
+  // Interleave the two counts, one pass each per repetition, so host drift
+  // over the measurement hits both alike; the medians drop outlier passes.
   const int counts[2] = {1, 8};
-  for (int run = 0; run < 2; ++run) {
-    SetDefaultThreadCount(counts[run]);
-    const double start = telemetry::MonotonicSeconds();
-    for (int r = 0; r < reps; ++r) {
+  std::vector<double> elapsed_runs[2];
+  float sinks[2] = {0.0f, 0.0f};
+  for (int r = 0; r < reps; ++r) {
+    for (int run = 0; run < 2; ++run) {
+      SetDefaultThreadCount(counts[run]);
+      const double start = telemetry::MonotonicSeconds();
       sinks[run] += SageFwdBwd(net, features, lists, ones);
+      elapsed_runs[run].push_back(telemetry::MonotonicSeconds() - start);
       for (Param* p : net.Params()) p->grad.Zero();
     }
-    elapsed[run] = telemetry::MonotonicSeconds() - start;
   }
   SetDefaultThreadCount(previous_threads);
   MCM_CHECK(sinks[0] == sinks[1]);
+  const double elapsed[2] = {Percentile(elapsed_runs[0], 0.5),
+                             Percentile(elapsed_runs[1], 0.5)};
 
   // Clamp the denominator so a freakishly fast serial run cannot turn the
   // gate metric into inf/NaN.
@@ -335,10 +340,11 @@ void MeasureNnParallelGate(telemetry::RunReport& report) {
   report.AddPhaseSeconds("gate_nn_fwdbwd_serial", elapsed[0]);
   report.AddPhaseSeconds("gate_nn_fwdbwd_threaded", elapsed[1]);
   report.SetValue("gate/nn_threaded_over_serial_ratio", ratio);
-  std::printf("# gate: GraphSAGE fwd+bwd on %s (%d nodes, hidden %d): "
-              "1 thread %.3f s, 8 threads %.3f s -> %.2fx speedup "
+  std::printf("# gate: GraphSAGE fwd+bwd on %s (%d nodes, hidden %d), "
+              "median of %d interleaved passes: 1 thread %.4f s, "
+              "8 threads %.4f s -> %.2fx speedup "
               "(bit-identical losses and gradients)\n",
-              graph.name().c_str(), graph.NumNodes(), kSageHiddenDim,
+              graph.name().c_str(), graph.NumNodes(), kSageHiddenDim, reps,
               elapsed[0], elapsed[1], 1.0 / std::max(ratio, 1e-9));
 }
 

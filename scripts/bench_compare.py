@@ -9,12 +9,12 @@ exits non-zero when a *timing* metric (time_ns/*, gate/*, or any phase)
 regresses by more than the threshold, so CI can gate on it.  Non-timing
 values (rewards, curve finals, counters) are reported but never gate: they
 are expected to be bit-identical and belong to correctness tests, not perf
-thresholds.  gate/* metrics are machine-robust ratios (e.g. micro_delta's
-delta-over-full re-score time), so they can be gated with a real threshold
-even on noisy shared runners; --gate PCT sets that threshold and forces a
-non-zero exit on regression (it overrides --report-only).  A parallel
-speedup ratio only means something against a baseline from a machine with
-at least as many cores, so --gate also refuses a baseline whose
+thresholds.  gate/* metrics are machine-robust ratios (e.g. micro_nn's
+8-thread over 1-thread GraphSAGE time), so they can be gated with a real
+threshold even on noisy shared runners; --gate PCT sets that threshold and
+forces a non-zero exit on regression (it overrides --report-only).  A
+parallel speedup ratio only means something against a baseline from a
+machine with at least as many cores, so --gate also refuses a baseline whose
 "hardware_concurrency" value is missing or lower than the current report's.
 
 Usage:

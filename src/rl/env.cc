@@ -56,7 +56,6 @@ PartitionEnv::PartitionEnv(const Graph& graph, CostModel& model,
       resilient_(std::make_shared<ResilientCostModel>(
           &model, fallback_model,
           retry_policy != nullptr ? *retry_policy : RetryPolicy::FromEnv())),
-      analytical_(dynamic_cast<const AnalyticalCostModel*>(&model)),
       baseline_runtime_s_(baseline_runtime_s),
       objective_(objective) {}
 
@@ -91,23 +90,6 @@ double PartitionEnv::Reward(const Partition& partition) {
   EvalResult eval;
   const double reward = Score(partition, &eval);
   CommitScore(partition, eval, reward);
-  return reward;
-}
-
-// MCM_CONTRACT(deterministic): both branches return the same bits -- the
-// evaluator's Score() is bit-identical to a full analytical Evaluate, and
-// the resilient wrapper passes any result through unchanged unless it is
-// transient.
-double PartitionEnv::Reward(const DeltaEvaluator& state) {
-  MCM_CHECK(&state.graph() == graph_) << "evaluator bound to another graph";
-  if (analytical_ == nullptr || analytical_->config() != state.config()) {
-    return Reward(state.partition());
-  }
-  const EvalResult eval = state.Score();
-  // Costs that overflow to infinity: let the wrapper handle them.
-  if (IsTransientEvalFailure(eval)) return Reward(state.partition());
-  const double reward = RewardOf(eval);
-  CommitScore(state.partition(), eval, reward);
   return reward;
 }
 

@@ -13,7 +13,6 @@
 
 #include "common/rng.h"
 #include "costmodel/cost_model.h"
-#include "costmodel/delta_eval.h"
 #include "faults/faults.h"
 #include "graph/graph.h"
 #include "partition/partition.h"
@@ -79,13 +78,6 @@ class PartitionEnv {
   // Evaluates a (corrected) partition: improvement ratio, or 0 when invalid.
   double Reward(const Partition& partition);
 
-  // Reward(state.partition()), for an evaluator bound to graph().  When the
-  // env's model is an AnalyticalCostModel with state.config(), the
-  // evaluator's Score() is the evaluation (bit-identical to a full one), so
-  // this skips the O(n) walk; any other model takes the Reward(Partition)
-  // path.
-  double Reward(const DeltaEvaluator& state);
-
   // Thread-safe half of Reward(): evaluates `partition` on the cost model
   // and returns the reward without touching any environment state, filling
   // `*eval` with the full evaluation.  Cost-model implementations are
@@ -125,8 +117,6 @@ class PartitionEnv {
   // Retry/degradation wrapper around model_; shared across env copies
   // (stateless Evaluate, so sharing never changes results).
   std::shared_ptr<ResilientCostModel> resilient_;
-  // model_ when it is an AnalyticalCostModel, else null.
-  const AnalyticalCostModel* analytical_;
   double baseline_runtime_s_;
   Objective objective_;
   EvalResult last_eval_;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "costmodel/delta_eval.h"
 #include "runtime/thread_pool.h"
 #include "solver/modes.h"
 #include "telemetry/metrics.h"
@@ -178,15 +177,7 @@ SearchTrace HillClimbSearch::Run(GraphContext& context, PartitionEnv& env,
     return trace;
   }
 
-  // The incremental screen; its partition() doubles as the incumbent.  Built
-  // with the env's analytical config when there is one, so env.Reward can
-  // score each move from the evaluator instead of a full walk.
-  const auto* analytical =
-      dynamic_cast<const AnalyticalCostModel*>(&env.model());
-  DeltaEvaluator filter(context.graph(), analytical != nullptr
-                                             ? analytical->config()
-                                             : McmConfig{});
-  filter.Rebase(solved.partition);
+  Partition current = solved.partition;
   for (int k = 1; k < budget; ++k) {
     // Geometric temperature schedule, as in SimulatedAnnealing.
     const double progress = static_cast<double>(k) / std::max(budget - 1, 1);
@@ -197,25 +188,25 @@ SearchTrace HillClimbSearch::Run(GraphContext& context, PartitionEnv& env,
 
     const int node = static_cast<int>(rng_.UniformInt(
         static_cast<std::uint64_t>(n)));
+    const int from = current.chip(node);
     int chip = static_cast<int>(rng_.UniformInt(
         static_cast<std::uint64_t>(c - 1)));
-    if (chip >= filter.partition().chip(node)) ++chip;
-    filter.Apply(node, chip);
-    if (!filter.StaticallyValid()) {
-      filter.Undo();
+    if (chip >= from) ++chip;
+    current.assignment[static_cast<std::size_t>(node)] = chip;
+    if (!IsStaticallyValid(context.graph(), current)) {
+      current.assignment[static_cast<std::size_t>(node)] = from;
       trace.rewards.push_back(0.0);
       continue;
     }
-    const double reward = env.Reward(filter);
+    const double reward = env.Reward(current);
     trace.rewards.push_back(reward);
 
     const double delta = reward - current_reward;
     if (delta >= 0.0 ||
         rng_.UniformDouble() < std::exp(delta / std::max(temperature, 1e-9))) {
-      filter.CommitBase();
       current_reward = reward;
     } else {
-      filter.Undo();
+      current.assignment[static_cast<std::size_t>(node)] = from;
     }
   }
   return trace;

@@ -89,16 +89,13 @@ class SimulatedAnnealing final : public SearchStrategy {
   Options options_;
 };
 
-// Single-node-move local search in partition space -- the workload the
-// incremental evaluator (costmodel/delta_eval.h) serves.  Each proposal
-// moves one node to a random other chip; a DeltaEvaluator screens the move
-// for static validity in O(degree(node)), so invalid neighbors never pay a
-// full-graph walk or an evaluation.  Valid neighbors are scored through
-// PartitionEnv::Reward(const DeltaEvaluator&) -- from the evaluator itself
-// on an analytical env -- with Metropolis acceptance on a geometric
-// temperature schedule.  Complements SimulatedAnnealing, which
-// anneals the solver's *probability distribution*; HillClimb anneals the
-// partition itself.
+// Single-node-move local search in partition space.  Each proposal moves
+// one node of the incumbent to a random other chip; moves that fail the
+// static constraints (IsStaticallyValid) score 0 without an evaluation, and
+// valid ones are scored through PartitionEnv::Reward with Metropolis
+// acceptance on a geometric temperature schedule.  Complements
+// SimulatedAnnealing, which anneals the solver's *probability
+// distribution*; HillClimb anneals the partition itself.
 class HillClimbSearch final : public SearchStrategy {
  public:
   struct Options {

@@ -268,32 +268,37 @@ void Server::HandleReadable(Connection& conn) {
   static telemetry::Counter& protocol_errors =
       telemetry::Counter::Get("service/protocol_errors");
   char chunk[4096];
-  // A connection holding kMaxRequestLineBytes of unsent responses is not
-  // read from until they drain (poll is level-triggered, so its input waits
-  // in the socket); only the drain's final pass reads everything.
-  while (draining_ || conn.write_buffer.size() < kMaxRequestLineBytes) {
+  // A connection holding kMaxRequestLineBytes of unsent responses handles no
+  // further line until they drain (poll is level-triggered, so unread input
+  // waits in the socket); that holds for the drain's final pass too.  Every
+  // pass the bound does not stop consumes all complete lines, so without
+  // lines_pending the buffer holds no '\n'.
+  std::size_t scanned = conn.lines_pending ? 0 : conn.read_buffer.size();
+  while (true) {
+    std::size_t start = 0;
+    std::size_t newline = scanned;
+    while (conn.write_buffer.size() < kMaxRequestLineBytes &&
+           (newline = conn.read_buffer.find('\n', newline)) !=
+               std::string::npos) {
+      HandleLine(conn, conn.read_buffer.substr(start, newline - start));
+      start = ++newline;
+    }
+    conn.read_buffer.erase(0, start);
+    conn.lines_pending = conn.write_buffer.size() >= kMaxRequestLineBytes;
+    if (conn.lines_pending) break;
+    scanned = conn.read_buffer.size();
+    if (scanned > kMaxRequestLineBytes) {
+      // Refuse the line and stop reading; the loop closes the connection
+      // once its admitted requests are delivered.
+      protocol_errors.Add();
+      std::string().swap(conn.read_buffer);
+      QueueResponse(conn, MakeErrorResponse("", "request line too long"));
+      conn.peer_closed = true;
+      break;
+    }
     const ssize_t n = read(conn.fd, chunk, sizeof(chunk));
     if (n > 0) {
-      // Complete lines are consumed per chunk, so the buffer holds no '\n'
-      // before the new bytes and never more than one line.
-      std::size_t newline = conn.read_buffer.size();
-      std::size_t start = 0;
       conn.read_buffer.append(chunk, static_cast<std::size_t>(n));
-      while ((newline = conn.read_buffer.find('\n', newline)) !=
-             std::string::npos) {
-        HandleLine(conn, conn.read_buffer.substr(start, newline - start));
-        start = ++newline;
-      }
-      conn.read_buffer.erase(0, start);
-      if (conn.read_buffer.size() > kMaxRequestLineBytes) {
-        // Refuse the line and stop reading; the loop closes the connection
-        // once its admitted requests are delivered.
-        protocol_errors.Add();
-        std::string().swap(conn.read_buffer);
-        QueueResponse(conn, MakeErrorResponse("", "request line too long"));
-        conn.peer_closed = true;
-        break;
-      }
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
@@ -341,15 +346,17 @@ void Server::BeginShutdown() {
   queue_->Close();
   // Final read pass: a Unix-socket write completes into our receive buffer,
   // so every request a client sent before the drain began is readable right
-  // now.  Consume and reject them (HandleLine sees draining_) instead of
-  // leaving pipelined clients blocked on responses that would never come;
-  // after this pass the loop stops polling for reads.
+  // now.  Consume and reject them (HandleLine sees draining_), up to the
+  // write bound, instead of leaving pipelined clients blocked on responses
+  // that would never come; after this pass the loop stops polling for reads.
   for (auto& [id, conn] : connections_) {
     if (!conn.peer_closed) HandleReadable(conn);
   }
 }
 
 void Server::Run() {
+  static telemetry::Counter& drain_dropped_bytes =
+      telemetry::Counter::Get("service/drain_dropped_bytes");
   MCM_CHECK(listen_fd_ >= 0 || draining_);
   const double started_s = telemetry::MonotonicSeconds();
   double flush_deadline_s = -1.0;  // Set once the drain has nothing in flight.
@@ -369,6 +376,15 @@ void Server::Run() {
     }
     for (const std::int64_t id : closable) CloseConnection(id);
 
+    // Resume connections whose unsent responses fell below the bound while
+    // lines read before it still wait in read_buffer.
+    for (auto& [id, conn] : connections_) {
+      if (conn.lines_pending && !draining_ && !conn.peer_closed &&
+          conn.write_buffer.size() < kMaxRequestLineBytes) {
+        HandleReadable(conn);
+      }
+    }
+
     if (draining_ && inflight_total_ == 0) {
       // Every admitted request has been delivered.  The drain is complete
       // once every response byte is flushed, or when the flush deadline
@@ -387,6 +403,7 @@ void Server::Run() {
         MCM_LOG(kWarning) << "service: drain flush deadline passed; closing "
                           << unflushed.size() << " connections with "
                           << unsent_bytes << " unsent bytes";
+        drain_dropped_bytes.Add(static_cast<std::int64_t>(unsent_bytes));
         for (const std::int64_t id : unflushed) CloseConnection(id);
         break;
       }

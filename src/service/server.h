@@ -19,10 +19,10 @@
 // No admitted request is ever dropped; requests finished after the
 // shutdown signal are counted in service/drained.  Responses a client has
 // not read kDrainFlushSeconds after the last request finished are dropped
-// with their connection, so a client that never reads cannot hold the
-// drain open.  When a report path is configured, a telemetry RunReport
-// (uptime, totals, full metrics snapshot) is written as the final act of
-// Run().
+// with their connection (counted in service/drain_dropped_bytes), so a
+// client that never reads cannot hold the drain open.  When a report path
+// is configured, a telemetry RunReport (uptime, totals, full metrics
+// snapshot) is written as the final act of Run().
 //
 // Determinism: the daemon adds no decision points of its own -- every
 // response is produced by ExecutePartitionRequest (handler.h), a pure
@@ -54,7 +54,8 @@ namespace mcm::service {
 // serialized BERT graph, is about 149 KB.  The same cap bounds a
 // connection's unsent responses: while that many bytes wait, the loop stops
 // reading the connection, so a client that pipelines requests without
-// reading the responses stalls instead of growing the daemon.
+// reading the responses stalls instead of growing the daemon.  The drain's
+// final read pass honours the cap too.
 inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{16} << 20;
 
 // How long the graceful drain waits, once every admitted request has
@@ -111,6 +112,9 @@ class Server {
     std::string write_buffer;
     std::int64_t inflight = 0;  // Admitted, response not yet buffered.
     bool peer_closed = false;   // EOF on read; close after flush + drain.
+    // read_buffer may hold complete lines left when the write bound
+    // stopped HandleReadable; handled once the unsent responses drain.
+    bool lines_pending = false;
   };
 
   struct Outcome {

@@ -6,7 +6,6 @@
 
 #include "common/env.h"
 #include "common/logging.h"
-#include "costmodel/delta_eval.h"
 #include "partition/heuristics.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
@@ -390,48 +389,39 @@ SolveResult SolveFixWithRestarts(CpSolver& solver, const Graph& graph,
 Partition ProbeSingleNodeMoves(
     const Graph& graph, const Partition& start, double start_score,
     const std::function<double(const Partition&)>& score, int budget,
-    Rng& rng, ProbeStats* stats) {
+    Rng& rng) {
   MCM_TRACE_SPAN("solver/probe");
   static telemetry::Counter& probe_proposals =
       telemetry::Counter::Get("solver/probe_proposals");
   static telemetry::Counter& probe_accepted =
       telemetry::Counter::Get("solver/probe_accepted");
-  ProbeStats local;
-  ProbeStats& out = stats != nullptr ? *stats : local;
   const int n = graph.NumNodes();
   const int c = start.num_chips;
   if (budget <= 0 || n < 1 || c < 2 || c > kMaxChips || !start.Complete()) {
     return start;
   }
-  // Incremental validity screen; its partition() carries the incumbent.
-  DeltaEvaluator filter(graph, McmConfig{});
-  filter.Rebase(start);
-  double current = start_score;
+  Partition current = start;
+  double current_score = start_score;
   for (int k = 0; k < budget; ++k) {
-    ++out.proposals;
     probe_proposals.Add();
     const int node = static_cast<int>(rng.UniformInt(
         static_cast<std::uint64_t>(n)));
+    const int from = current.chip(node);
     int chip = static_cast<int>(rng.UniformInt(
         static_cast<std::uint64_t>(c - 1)));
-    if (chip >= filter.partition().chip(node)) ++chip;
-    filter.Apply(node, chip);
-    if (!filter.StaticallyValid()) {
-      filter.Undo();
-      continue;
+    if (chip >= from) ++chip;
+    current.assignment[static_cast<std::size_t>(node)] = chip;
+    if (IsStaticallyValid(graph, current)) {
+      const double candidate_score = score(current);
+      if (candidate_score > current_score) {
+        probe_accepted.Add();
+        current_score = candidate_score;
+        continue;
+      }
     }
-    ++out.statically_valid;
-    const double candidate_score = score(filter.partition());
-    if (candidate_score > current) {
-      ++out.accepted;
-      probe_accepted.Add();
-      current = candidate_score;
-      filter.CommitBase();
-    } else {
-      filter.Undo();
-    }
+    current.assignment[static_cast<std::size_t>(node)] = from;
   }
-  return filter.partition();
+  return current;
 }
 
 }  // namespace mcm

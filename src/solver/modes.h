@@ -108,25 +108,17 @@ SolveResult SolveFixWithRestarts(CpSolver& solver, const Graph& graph,
                                  const Partition& candidate, Rng& rng,
                                  int max_attempts = 6);
 
-struct ProbeStats {
-  int proposals = 0;         // Single-node moves drawn.
-  int statically_valid = 0;  // Moves that passed the incremental screen.
-  int accepted = 0;          // Moves that improved the score.
-};
-
 // Greedy single-node-move refinement of a (statically valid, complete)
 // solver result: draws `budget` random (node, other-chip) moves, screens
-// each for static validity with an incremental DeltaEvaluator
-// (costmodel/delta_eval.h) -- so a rejected neighbor costs O(degree(node)),
-// not a full walk -- and keeps a move only when `score` strictly improves
-// on the incumbent (`start_score` must be score(start)).  Deterministic for
-// a given rng state.  Returns the refined partition (== start when nothing
-// improved); every returned partition is statically valid.  The service's
-// solver mode probes each baseline this way before responding.  Counters:
-// solver/probe_proposals, solver/probe_accepted.
+// each with IsStaticallyValid, and keeps a move only when `score` strictly
+// improves on the incumbent (`start_score` must be score(start)).
+// Deterministic for a given rng state.  Returns the refined partition
+// (== start when nothing improved); every returned partition is statically
+// valid.  The service's solver mode probes each baseline this way before
+// responding.  Counters: solver/probe_proposals, solver/probe_accepted.
 Partition ProbeSingleNodeMoves(
     const Graph& graph, const Partition& start, double start_score,
     const std::function<double(const Partition&)>& score, int budget,
-    Rng& rng, ProbeStats* stats = nullptr);
+    Rng& rng);
 
 }  // namespace mcm

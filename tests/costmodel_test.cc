@@ -3,14 +3,12 @@
 // analytical-vs-simulated correlation the calibration study relies on.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/stats.h"
 #include "costmodel/cost_model.h"
-#include "costmodel/delta_eval.h"
 #include "graph/generators.h"
 #include "hwsim/hardware_sim.h"
 #include "partition/heuristics.h"
@@ -233,103 +231,6 @@ TEST(HwSimTest, MemoryPressureSlowsTheChip) {
   const double t_light = sim.Evaluate(light, Assign({0}, 2)).runtime_s;
   const double t_heavy = sim.Evaluate(heavy, Assign({0}, 2)).runtime_s;
   EXPECT_GT(t_heavy, t_light);
-}
-
-// ---- Incremental (delta) evaluation -----------------------------------------
-
-// Random layered DAG with forward edges only, plus a complete (not
-// necessarily statically valid) chip assignment to use as a base.
-struct FuzzCase {
-  Graph graph{"fuzz"};
-  Partition base;
-  int num_chips = 0;
-};
-
-FuzzCase MakeFuzzCase(Rng& rng) {
-  FuzzCase out;
-  const int nodes = 20 + static_cast<int>(rng.UniformInt(41));
-  out.num_chips = 3 + static_cast<int>(rng.UniformInt(6));
-  for (int i = 0; i < nodes; ++i) {
-    out.graph.AddNode(OpType::kMatMul, "n",
-                      1e6 * static_cast<double>(1 + rng.UniformInt(100)),
-                      1e3 * static_cast<double>(1 + rng.UniformInt(100)),
-                      1e3 * static_cast<double>(1 + rng.UniformInt(100)));
-    if (i > 0) {
-      // Chain edge keeps the graph connected; extra random forward edges
-      // create fan-in/fan-out so moves touch several chips at once.
-      out.graph.AddEdge(i - 1, i);
-      for (int e = 0; e < 2; ++e) {
-        const int src = static_cast<int>(rng.UniformInt(
-            static_cast<std::uint64_t>(i)));
-        if (src != i - 1) out.graph.AddEdge(src, i);
-      }
-    }
-  }
-  // Contiguous-by-id base: Eq. 2 always holds, Eq. 3/4 sometimes do not,
-  // so the fuzz exercises both valid and invalid Score() paths.
-  out.base.num_chips = out.num_chips;
-  out.base.assignment.resize(static_cast<std::size_t>(nodes));
-  for (int i = 0; i < nodes; ++i) {
-    out.base.assignment[static_cast<std::size_t>(i)] =
-        i * out.num_chips / nodes;
-  }
-  return out;
-}
-
-// Asserts the optimized evaluator, the reference oracle, and a fresh full
-// evaluation agree bit-for-bit on the current assignment.
-void ExpectDeltaAgreement(const FuzzCase& c, const DeltaEvaluator& evaluator,
-                          const DeltaEvaluatorReference& reference) {
-  AnalyticalCostModel model{McmConfig{}};
-  ASSERT_EQ(evaluator.partition().assignment,
-            reference.partition().assignment);
-  const EvalResult full = model.Evaluate(c.graph, evaluator.partition());
-  const EvalResult fast = evaluator.Score();
-  const EvalResult oracle = reference.Score();
-  EXPECT_EQ(evaluator.StaticallyValid(),
-            IsStaticallyValid(c.graph, evaluator.partition()));
-  EXPECT_EQ(evaluator.StaticallyValid(), reference.StaticallyValid());
-  for (const EvalResult& r : {fast, oracle}) {
-    EXPECT_EQ(full.valid, r.valid);
-    EXPECT_EQ(full.failure, r.failure);
-    EXPECT_EQ(full.runtime_s, r.runtime_s);    // Exact, not approximate:
-    EXPECT_EQ(full.latency_s, r.latency_s);    // the bit-identical contract.
-    EXPECT_EQ(full.throughput, r.throughput);
-  }
-}
-
-TEST(DeltaEvalTest, FuzzMatchesFullModelAndReference) {
-  Rng rng(1234);
-  for (int trial = 0; trial < 25; ++trial) {
-    const FuzzCase c = MakeFuzzCase(rng);
-    DeltaEvaluator evaluator(c.graph, McmConfig{});
-    DeltaEvaluatorReference reference(c.graph, McmConfig{});
-    evaluator.Rebase(c.base);
-    reference.Rebase(c.base);
-    ExpectDeltaAgreement(c, evaluator, reference);
-    for (int step = 0; step < 40; ++step) {
-      const bool undo = evaluator.undo_depth() > 0 && rng.UniformInt(4) == 0;
-      if (undo) {
-        evaluator.Undo();
-        reference.Undo();
-      } else {
-        const int node = static_cast<int>(rng.UniformInt(
-            static_cast<std::uint64_t>(c.graph.NumNodes())));
-        const int chip = static_cast<int>(rng.UniformInt(
-            static_cast<std::uint64_t>(c.num_chips)));
-        evaluator.Apply(node, chip);
-        reference.Apply(node, chip);
-      }
-      ExpectDeltaAgreement(c, evaluator, reference);
-    }
-    // Unwinding the whole history must restore the base bit-for-bit.
-    while (evaluator.undo_depth() > 0) {
-      evaluator.Undo();
-      reference.Undo();
-    }
-    EXPECT_EQ(evaluator.partition().assignment, c.base.assignment);
-    ExpectDeltaAgreement(c, evaluator, reference);
-  }
 }
 
 // ---- Calibration-style property (mini Figure 7) -----------------------------

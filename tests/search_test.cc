@@ -1,7 +1,6 @@
 // Tests for the search strategies and their traces.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 
 #include "costmodel/cost_model.h"
@@ -106,39 +105,21 @@ TEST(RlSearchTest, ZeroShotDoesNotTrain) {
   }
 }
 
-// Evaluates exactly like the AnalyticalCostModel it wraps without being
-// one, so an env over it scores every partition by full evaluation.
-// `calls` counts those evaluations.
-class ForwardingModel final : public CostModel {
- public:
-  explicit ForwardingModel(AnalyticalCostModel& inner) : inner_(&inner) {}
-  EvalResult Evaluate(const Graph& graph,
-                      const Partition& partition) override {
-    calls.fetch_add(1, std::memory_order_relaxed);
-    return inner_->Evaluate(graph, partition);
-  }
-  std::string name() const override { return inner_->name(); }
-
-  std::atomic<std::int64_t> calls{0};
-
- private:
-  AnalyticalCostModel* inner_;
-};
-
 struct LocalSearchRun {
   std::vector<double> rewards;  // HillClimb trace.
-  std::vector<int> probed;      // ProbeSingleNodeMoves result.
+  Partition probed;             // ProbeSingleNodeMoves result.
   double best_reward = 0.0;
-  std::vector<int> best;
+  Partition best;
   std::int64_t evaluations = 0;
 };
 
 // HillClimb, then ProbeSingleNodeMoves from the baseline through
-// env.Reward, on one env over `model` at `threads` worker threads.
-LocalSearchRun RunLocalSearch(const Graph& graph, CostModel& model,
+// env.Reward, on one analytical env at `threads` worker threads.
+LocalSearchRun RunLocalSearch(const Graph& graph,
                               PartitionEnv::Objective objective, int threads,
                               int budget) {
   SetDefaultThreadCount(threads);
+  AnalyticalCostModel model{McmConfig{}};
   GraphContext context(graph, 36);
   Rng rng(1);
   const BaselineResult baseline =
@@ -148,52 +129,46 @@ LocalSearchRun RunLocalSearch(const Graph& graph, CostModel& model,
   out.rewards = HillClimbSearch{Rng(13)}.Run(context, env, budget).rewards;
   Rng probe_rng(17);
   out.probed = ProbeSingleNodeMoves(
-                   graph, baseline.partition, env.Reward(baseline.partition),
-                   [&env](const Partition& p) { return env.Reward(p); },
-                   budget, probe_rng)
-                   .assignment;
+      graph, baseline.partition, env.Reward(baseline.partition),
+      [&env](const Partition& p) { return env.Reward(p); }, budget,
+      probe_rng);
   out.best_reward = env.best_reward();
-  out.best = env.best_partition().assignment;
+  out.best = env.best_partition();
   out.evaluations = env.num_evaluations();
   return out;
 }
 
-// Scoring from the evaluator (analytical env) and by full evaluation
-// (forwarding env) must give bit-identical traces, probes and incumbents at
-// 1 and 4 threads.
-void ExpectEvaluatorPathIsFullEvaluation(const Graph& graph,
-                                         PartitionEnv::Objective objective,
-                                         int budget) {
+// HillClimb and the probe must give bit-identical traces, probes,
+// incumbents and evaluation counts at 1 and 4 threads, and every partition
+// they return must be statically valid.
+TEST(SearchDeterminismTest, LocalSearchBitIdenticalAcrossThreadCounts) {
   const int before = DefaultThreadCount();
-  AnalyticalCostModel analytical{McmConfig{}};
-  ForwardingModel forwarding(analytical);
-  const LocalSearchRun reference =
-      RunLocalSearch(graph, analytical, objective, 1, budget);
-  ASSERT_GT(reference.best_reward, 0.0);
-  for (const int threads : {1, 4}) {
-    for (CostModel* model : {static_cast<CostModel*>(&analytical),
-                             static_cast<CostModel*>(&forwarding)}) {
-      forwarding.calls = 0;
-      const LocalSearchRun run =
-          RunLocalSearch(graph, *model, objective, threads, budget);
-      EXPECT_EQ(run.rewards, reference.rewards) << threads;
-      EXPECT_EQ(run.probed, reference.probed) << threads;
-      EXPECT_EQ(run.best_reward, reference.best_reward) << threads;
-      EXPECT_EQ(run.best, reference.best) << threads;
-      EXPECT_EQ(run.evaluations, reference.evaluations) << threads;
-      if (model == &forwarding) {
-        // The forwarding env fully evaluated every scored partition.
-        EXPECT_GE(forwarding.calls.load(), run.evaluations) << threads;
-      }
-    }
+  std::vector<Graph> corpus = MakeCorpus();
+  const Graph bert = MakeBert();
+  const struct {
+    const Graph* graph;
+    PartitionEnv::Objective objective;
+    int budget;
+  } cases[] = {
+      {&corpus[30], PartitionEnv::Objective::kThroughput, 120},
+      {&bert, PartitionEnv::Objective::kLatency, 300},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.graph->name());
+    const LocalSearchRun serial =
+        RunLocalSearch(*c.graph, c.objective, 1, c.budget);
+    ASSERT_GT(serial.best_reward, 0.0);
+    EXPECT_TRUE(IsStaticallyValid(*c.graph, serial.probed));
+    EXPECT_TRUE(IsStaticallyValid(*c.graph, serial.best));
+    const LocalSearchRun threaded =
+        RunLocalSearch(*c.graph, c.objective, 4, c.budget);
+    EXPECT_EQ(threaded.rewards, serial.rewards);
+    EXPECT_EQ(threaded.probed.assignment, serial.probed.assignment);
+    EXPECT_EQ(threaded.best_reward, serial.best_reward);
+    EXPECT_EQ(threaded.best.assignment, serial.best.assignment);
+    EXPECT_EQ(threaded.evaluations, serial.evaluations);
   }
   SetDefaultThreadCount(before);
-}
-
-TEST(SearchDeterminismTest, DeltaEvalDoesNotChangeResults) {
-  std::vector<Graph> corpus = MakeCorpus();
-  ExpectEvaluatorPathIsFullEvaluation(
-      corpus[30], PartitionEnv::Objective::kThroughput, /*budget=*/120);
 }
 
 TEST(HillClimbTest, TracksBudgetAndOnlyValidMovesScore) {
@@ -212,12 +187,6 @@ TEST(HillClimbTest, TracksBudgetAndOnlyValidMovesScore) {
   EXPECT_GT(positive, 1);
   ASSERT_TRUE(f.env.has_best());
   EXPECT_GE(f.env.best_reward(), trace.rewards.front());
-}
-
-TEST(HillClimbTest, DeterministicPerSeedAndDeltaInvariant) {
-  // BERT-scale, under the latency objective.
-  ExpectEvaluatorPathIsFullEvaluation(
-      MakeBert(), PartitionEnv::Objective::kLatency, /*budget=*/300);
 }
 
 TEST(NoSolverRlTest, FindsNoValidPartition) {

@@ -11,6 +11,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
@@ -386,29 +387,32 @@ int ConnectRaw(const std::string& socket_path) {
 // error responses.  Each response is far longer than its line, so the server
 // reaches kMaxRequestLineBytes of unsent responses after about 1 MB of input,
 // stops reading, and the socket buffers fill: the sends must stall well
-// before kSendLimit.  Returns whether they stalled.
-bool StallWithUnreadResponses(int fd) {
+// before kSendLimit.  Returns the number of complete lines sent once they
+// stalled, or 0 if they did not.
+std::size_t StallWithUnreadResponses(int fd) {
   constexpr std::size_t kSendLimit = std::size_t{8} << 20;
   std::string lines;
   for (int i = 0; i < 4096; ++i) lines += "x\n";
   std::size_t sent = 0;
+  std::size_t newlines = 0;  // Every send starts at a line boundary.
   while (sent < kSendLimit) {
     const ssize_t n = send(fd, lines.data(), lines.size(), MSG_NOSIGNAL);
     if (n > 0) {
       sent += static_cast<std::size_t>(n);
+      newlines += static_cast<std::size_t>(n) / 2;
       continue;
     }
     const bool would_block =
         n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR);
     if (!would_block) {
       ADD_FAILURE() << std::strerror(errno);
-      return false;
+      return 0;
     }
     pollfd writable{fd, POLLOUT, 0};
-    if (poll(&writable, 1, /*timeout_ms=*/1000) == 0) return true;
+    if (poll(&writable, 1, /*timeout_ms=*/1000) == 0) return newlines;
   }
   ADD_FAILURE() << "sent " << sent << " bytes without stalling";
-  return false;
+  return 0;
 }
 
 TEST(ServerTest, DefaultExecutorsAreOneMoreThanTheDefaultThreads) {
@@ -560,7 +564,7 @@ TEST(ServerTest, ClientThatNeverReadsStallsWithoutStarvingOthers) {
   const int fd = ConnectRaw(fixture.socket_path());
   ASSERT_GE(fd, 0) << std::strerror(errno);
   ASSERT_EQ(fcntl(fd, F_SETFL, O_NONBLOCK), 0);
-  EXPECT_TRUE(StallWithUnreadResponses(fd));
+  EXPECT_GT(StallWithUnreadResponses(fd), 0u);
 
   ServiceClient client(fixture.socket_path());
   const PartitionResponse good = client.Call(SmallRequest(4));
@@ -568,18 +572,60 @@ TEST(ServerTest, ClientThatNeverReadsStallsWithoutStarvingOthers) {
   close(fd);  // Lets the drain finish: its responses are abandoned.
 }
 
-TEST(ServerTest, DrainDropsResponsesAClientNeverReadsAfterTheFlushDeadline) {
+TEST(ServerTest, StalledClientGetsEveryResponseOnceItReads) {
   ServerFixture fixture(ServerConfig{});
   const int fd = ConnectRaw(fixture.socket_path());
   ASSERT_GE(fd, 0) << std::strerror(errno);
   ASSERT_EQ(fcntl(fd, F_SETFL, O_NONBLOCK), 0);
-  EXPECT_TRUE(StallWithUnreadResponses(fd));
+  const std::size_t lines = StallWithUnreadResponses(fd);
+  ASSERT_GT(lines, 0u);
+
+  // Lines the server read past its write bound wait for the unsent
+  // responses to drain; none is dropped.
+  std::size_t responses = 0;
+  char buffer[1 << 16];
+  while (responses < lines) {
+    pollfd readable{fd, POLLIN, 0};
+    if (poll(&readable, 1, /*timeout_ms=*/5000) <= 0) break;
+    const ssize_t n = read(fd, buffer, sizeof(buffer));
+    if (n <= 0) break;
+    responses +=
+        static_cast<std::size_t>(std::count(buffer, buffer + n, '\n'));
+  }
+  close(fd);
+  EXPECT_EQ(responses, lines);
+}
+
+TEST(ServerTest, DrainDropsResponsesAClientNeverReadsAfterTheFlushDeadline) {
+  telemetry::Counter& dropped =
+      telemetry::Counter::Get("service/drain_dropped_bytes");
+  const std::int64_t dropped_before = dropped.Value();
+  ServerFixture fixture(ServerConfig{});
+  const int fd = ConnectRaw(fixture.socket_path());
+  ASSERT_GE(fd, 0) << std::strerror(errno);
+  ASSERT_EQ(fcntl(fd, F_SETFL, O_NONBLOCK), 0);
+  EXPECT_GT(StallWithUnreadResponses(fd), 0u);
 
   // The stalled client keeps its socket open and never reads, so only the
   // flush deadline can end the drain.
   const bool returned = fixture.ShutdownWithin(std::chrono::seconds(10));
   close(fd);  // When the drain hangs, this lets it finish so the test exits.
   EXPECT_TRUE(returned) << "Run() still draining 10 s after Shutdown()";
+
+  // The drain's final read pass honours the write bound: what it drops is
+  // at most the bound plus the one response line that crossed it.
+  PartitionRequest unused;
+  std::string parse_error;
+  ASSERT_FALSE(ParseRequest("x", &unused, &parse_error));
+  const std::size_t response_line =
+      EncodeResponse(MakeErrorResponse(unused.id, "bad request: " +
+                                                      parse_error))
+          .size() +
+      1;
+  const std::int64_t dropped_bytes = dropped.Value() - dropped_before;
+  EXPECT_GT(dropped_bytes, 0);
+  EXPECT_LE(dropped_bytes,
+            static_cast<std::int64_t>(kMaxRequestLineBytes + response_line));
 }
 
 TEST(ServerTest, SecondServerInTheProcessServesUntilItsOwnShutdown) {
