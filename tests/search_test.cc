@@ -141,34 +141,28 @@ LocalSearchRun RunLocalSearch(const Graph& graph,
 // HillClimb and the probe must give bit-identical traces, probes,
 // incumbents and evaluation counts at 1 and 4 threads, and every partition
 // they return must be statically valid.
-TEST(SearchDeterminismTest, LocalSearchBitIdenticalAcrossThreadCounts) {
+void ExpectLocalSearchBitIdenticalAcrossThreadCounts(
+    const Graph& graph, PartitionEnv::Objective objective, int budget) {
   const int before = DefaultThreadCount();
-  std::vector<Graph> corpus = MakeCorpus();
-  const Graph bert = MakeBert();
-  const struct {
-    const Graph* graph;
-    PartitionEnv::Objective objective;
-    int budget;
-  } cases[] = {
-      {&corpus[30], PartitionEnv::Objective::kThroughput, 120},
-      {&bert, PartitionEnv::Objective::kLatency, 300},
-  };
-  for (const auto& c : cases) {
-    SCOPED_TRACE(c.graph->name());
-    const LocalSearchRun serial =
-        RunLocalSearch(*c.graph, c.objective, 1, c.budget);
-    ASSERT_GT(serial.best_reward, 0.0);
-    EXPECT_TRUE(IsStaticallyValid(*c.graph, serial.probed));
-    EXPECT_TRUE(IsStaticallyValid(*c.graph, serial.best));
-    const LocalSearchRun threaded =
-        RunLocalSearch(*c.graph, c.objective, 4, c.budget);
-    EXPECT_EQ(threaded.rewards, serial.rewards);
-    EXPECT_EQ(threaded.probed.assignment, serial.probed.assignment);
-    EXPECT_EQ(threaded.best_reward, serial.best_reward);
-    EXPECT_EQ(threaded.best.assignment, serial.best.assignment);
-    EXPECT_EQ(threaded.evaluations, serial.evaluations);
-  }
+  const LocalSearchRun serial = RunLocalSearch(graph, objective, 1, budget);
+  ASSERT_GT(serial.best_reward, 0.0);
+  EXPECT_TRUE(IsStaticallyValid(graph, serial.probed));
+  EXPECT_TRUE(IsStaticallyValid(graph, serial.best));
+  const LocalSearchRun threaded = RunLocalSearch(graph, objective, 4, budget);
+  EXPECT_EQ(threaded.rewards, serial.rewards);
+  EXPECT_EQ(threaded.probed.assignment, serial.probed.assignment);
+  EXPECT_EQ(threaded.best_reward, serial.best_reward);
+  EXPECT_EQ(threaded.best.assignment, serial.best.assignment);
+  EXPECT_EQ(threaded.evaluations, serial.evaluations);
   SetDefaultThreadCount(before);
+}
+
+// Scoring each move through the env, with no incremental evaluator, keeps
+// local search deterministic across thread counts.
+TEST(SearchDeterminismTest, DeltaEvalDoesNotChangeResults) {
+  std::vector<Graph> corpus = MakeCorpus();
+  ExpectLocalSearchBitIdenticalAcrossThreadCounts(
+      corpus[30], PartitionEnv::Objective::kThroughput, /*budget=*/120);
 }
 
 TEST(HillClimbTest, TracksBudgetAndOnlyValidMovesScore) {
@@ -187,6 +181,12 @@ TEST(HillClimbTest, TracksBudgetAndOnlyValidMovesScore) {
   EXPECT_GT(positive, 1);
   ASSERT_TRUE(f.env.has_best());
   EXPECT_GE(f.env.best_reward(), trace.rewards.front());
+}
+
+TEST(HillClimbTest, DeterministicPerSeedAndDeltaInvariant) {
+  // BERT-scale, under the latency objective.
+  ExpectLocalSearchBitIdenticalAcrossThreadCounts(
+      MakeBert(), PartitionEnv::Objective::kLatency, /*budget=*/300);
 }
 
 TEST(NoSolverRlTest, FindsNoValidPartition) {
