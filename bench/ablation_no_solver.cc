@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
     config.solver_mode = RlConfig::SolverMode::kNone;
     config.seed = 11;
     PolicyNetwork policy(config);
-    NoSolverRlSearch search(policy, Rng(12));
+    RlSearch search(policy, Rng(12), /*zero_shot=*/false, "RL-NoSolver");
     const SearchTrace trace = search.Run(context, env, budget);
     int valid_samples = 0;
     for (double r : trace.rewards) {

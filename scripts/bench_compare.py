@@ -6,16 +6,22 @@ BENCH_<name>.json: "values" holds headline numbers (micro benches record
 "time_ns/<benchmark>" entries), "phases" holds per-phase wall seconds.
 This tool prints per-metric deltas between a baseline and a current run and
 exits non-zero when a *timing* metric (time_ns/*, gate/*, or any phase)
-regresses by more than the threshold, so CI can gate on it.  Non-timing
-values (rewards, curve finals, counters) are reported but never gate: they
-are expected to be bit-identical and belong to correctness tests, not perf
-thresholds.  gate/* metrics are machine-robust ratios (e.g. micro_nn's
-8-thread over 1-thread GraphSAGE time), so they can be gated with a real
-threshold even on noisy shared runners; --gate PCT sets that threshold and
-forces a non-zero exit on regression (it overrides --report-only).  A
-parallel speedup ratio only means something against a baseline from a
-machine with at least as many cores, so --gate also refuses a baseline whose
-"hardware_concurrency" value is missing or lower than the current report's.
+regresses by more than the threshold.  Non-timing values (rewards, curve
+finals, counters) are reported but never gate: they are expected to be
+bit-identical and belong to correctness tests, not perf thresholds.
+
+--gate PCT is the CI gating mode.  It sets the threshold to PCT and hard-
+fails only on gate/* metrics, which are machine-robust ratios (e.g.
+micro_nn's 8-thread over 1-thread GraphSAGE time), so they can be gated
+with a real threshold even on noisy shared runners.  Absolute timings
+(time_ns/*, phase/*) are measured against a baseline from another day and
+machine state; in gating mode their regressions are printed as report-only
+and never change the exit code.  A gate/* metric that the baseline has and
+the current run lacks fails the gate, and --gate exits with an error when
+no compared baseline has a gate/* metric.  --gate overrides --report-only.  A parallel speedup ratio
+only means something against a baseline from a machine with at least as
+many cores, so --gate also refuses a baseline whose "hardware_concurrency"
+value is missing or lower than the current report's.
 
 Usage:
   bench_compare.py BASELINE CURRENT [--threshold PCT] [--report-only]
@@ -39,6 +45,7 @@ import shutil
 import sys
 
 REGRESSION_PREFIXES = ("time_ns/", "phase/", "gate/")
+GATE_PREFIX = "gate/"
 
 
 RECORDED = [0]
@@ -121,6 +128,10 @@ def is_timing(key):
     return key.startswith(REGRESSION_PREFIXES)
 
 
+def gate_keys(base):
+    return sorted(key for key in base if key.startswith(GATE_PREFIX))
+
+
 def compare(label, base, cur, threshold_pct):
     """Prints the diff table; returns the list of regressed timing metrics."""
     regressions = []
@@ -165,28 +176,51 @@ def main():
         args.report_only = False
 
     all_regressions = []
+    gated = 0
+    missing = []  # gate/* metrics the baseline has and the current run lacks.
     compared = 0
     for label, base_path, cur_path in pair_files(args.baseline, args.current):
         base, cur = load_report(base_path), load_report(cur_path)
         if args.gate is not None:
             check_cores(label, base, cur)
+            gated += len(gate_keys(base))
+            missing += [(label, k) for k in gate_keys(base) if k not in cur]
         all_regressions += compare(label, base, cur, args.threshold)
         compared += 1
     if compared == 0 and RECORDED[0] == 0:
         sys.exit("error: no comparable BENCH_*.json pairs found")
     if compared == 0:
         return  # Everything was freshly recorded; nothing to diff yet.
+    if args.gate is not None and gated == 0:
+        sys.exit(f"error: --gate found no {GATE_PREFIX}* metric in the "
+                 f"baseline to gate")
 
-    if all_regressions:
-        print(f"\n{len(all_regressions)} timing metric(s) regressed more "
+    failing = all_regressions
+    kind = "timing"
+    if args.gate is not None:
+        kind = "gated"
+        failing = [r for r in all_regressions if r[1].startswith(GATE_PREFIX)]
+        informational = [r for r in all_regressions if r not in failing]
+        if informational:
+            print(f"\n{len(informational)} absolute timing metric(s) "
+                  f"regressed more than {args.threshold:.1f}% (report-only, "
+                  f"not gated):")
+            for label, key, b, c in informational:
+                print(f"  {label}: {key}  {b:.6g} -> {c:.6g}")
+        for label, key in missing:
+            print(f"\n{label}: gated metric {key} is missing from the "
+                  f"current run")
+    if failing:
+        print(f"\n{len(failing)} {kind} metric(s) regressed more "
               f"than {args.threshold:.1f}%:")
-        for label, key, b, c in all_regressions:
+        for label, key, b, c in failing:
             print(f"  {label}: {key}  {b:.6g} -> {c:.6g}")
+    if failing or missing:
         if not args.report_only:
             sys.exit(1)
         print("(report-only mode: exiting 0)")
     else:
-        print(f"\nno timing regressions beyond {args.threshold:.1f}%")
+        print(f"\nno {kind} regressions beyond {args.threshold:.1f}%")
 
 
 if __name__ == "__main__":

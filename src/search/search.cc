@@ -236,34 +236,4 @@ SearchTrace RlSearch::Run(GraphContext& context, PartitionEnv& env,
   return trace;
 }
 
-SearchTrace NoSolverRlSearch::Run(GraphContext& context, PartitionEnv& env,
-                                  int budget) {
-  // The borrowed policy may be configured with a solver mode; this ablation
-  // forces kNone through a scoped override on a copy of the config inside
-  // the trainer's collection loop -- the policy object itself carries the
-  // mode, so we require it to be pre-configured with kNone.
-  MCM_CHECK(policy_->config().solver_mode == RlConfig::SolverMode::kNone)
-      << "NoSolverRlSearch requires a policy configured with "
-         "SolverMode::kNone";
-  MCM_TRACE_SPAN("search/rl_no_solver");
-  SearchTrace trace;
-  trace.strategy = name();
-  const int per_update = policy_->config().rollouts_per_update;
-  while (static_cast<int>(trace.rewards.size()) < budget) {
-    const int remaining = budget - static_cast<int>(trace.rewards.size());
-    PpoTrainer::IterationResult result;
-    if (remaining < per_update) {
-      result = trainer_.EvaluateOnly(context, env, remaining);
-    } else {
-      result = trainer_.Iterate(context, env);
-    }
-    trace.rewards.insert(trace.rewards.end(), result.rewards.begin(),
-                         result.rewards.end());
-  }
-  if (static_cast<int>(trace.rewards.size()) > budget) {
-    trace.rewards.resize(static_cast<std::size_t>(budget));
-  }
-  return trace;
-}
-
 }  // namespace mcm

@@ -5,10 +5,11 @@
 //   * SimulatedAnnealing -- perturbs a probability distribution, SAMPLE
 //                        mode solves, Metropolis acceptance on the reward.
 //   * RlSearch        -- PPO training from scratch (or from a pre-trained
-//                        checkpoint: zero-shot / fine-tuning).
-//   * NoSolverRlSearch -- the paper's "RL without constraint solver"
-//                        ablation: candidates go straight to evaluation and
-//                        invalid ones earn zero reward.
+//                        checkpoint: zero-shot / fine-tuning).  On a policy
+//                        configured with SolverMode::kNone it is the
+//                        paper's "RL without constraint solver" ablation:
+//                        candidates go straight to evaluation and invalid
+//                        ones earn zero reward.
 //
 // Every strategy emits a SearchTrace: the reward of each evaluated sample
 // in order, from which benches derive best-so-far curves (Figures 5/6) and
@@ -115,9 +116,10 @@ class HillClimbSearch final : public SearchStrategy {
   Options options_;
 };
 
-// RL with the constraint solver.  Wraps PpoTrainer; when constructed with a
-// pre-trained policy the same class serves fine-tuning, and EvaluateOnly
-// (via `zero_shot`) serves zero-shot deployment.
+// RL through the policy's configured solver mode.  Wraps PpoTrainer; when
+// constructed with a pre-trained policy the same class serves fine-tuning,
+// and EvaluateOnly (via `zero_shot`) serves zero-shot deployment.  A policy
+// configured with SolverMode::kNone gives the no-solver ablation.
 class RlSearch final : public SearchStrategy {
  public:
   // `policy` is borrowed and is updated in place unless zero_shot.
@@ -133,24 +135,6 @@ class RlSearch final : public SearchStrategy {
   PpoTrainer trainer_;
   bool zero_shot_;
   std::string label_;
-};
-
-// Ablation: RL sampling straight into evaluation, no solver correction.
-// Statically invalid candidates earn zero reward (the paper reports this
-// baseline never finds a valid partition).
-class NoSolverRlSearch final : public SearchStrategy {
- public:
-  NoSolverRlSearch(PolicyNetwork& policy, Rng rng)
-      : policy_(&policy), trainer_(policy, rng), rng_(rng) {}
-
-  SearchTrace Run(GraphContext& context, PartitionEnv& env,
-                  int budget) override;
-  std::string name() const override { return "RL-NoSolver"; }
-
- private:
-  PolicyNetwork* policy_;
-  PpoTrainer trainer_;
-  Rng rng_;
 };
 
 }  // namespace mcm

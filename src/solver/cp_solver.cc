@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "telemetry/trace.h"
 
 namespace mcm {
 
@@ -33,26 +32,12 @@ void CpSolver::Reset() {
   support_one_pending_ = false;
   fixed_adj_.assign(static_cast<std::size_t>(num_chips_), 0);
   solve_start_propagations_ = stats_.propagations;
-  // The wall-clock deadline is an opt-in escape hatch that no in-tree
-  // caller enables; deterministic callers (the serving path) bound work
-  // with propagation_budget instead, so these clock edges are sanitized.
-  solve_deadline_at_s_ =
-      options_.deadline_s > 0.0
-          ? telemetry::MonotonicSeconds() + options_.deadline_s  // NOLINT(mcm-nondet-reach)
-          : 0.0;
 }
 
 bool CpSolver::BudgetExhausted() const {
-  if (options_.propagation_budget > 0 &&
-      stats_.propagations - solve_start_propagations_ >=
-          options_.propagation_budget) {
-    return true;
-  }
-  if (solve_deadline_at_s_ > 0.0 &&
-      telemetry::MonotonicSeconds() > solve_deadline_at_s_) {  // NOLINT(mcm-nondet-reach)
-    return true;
-  }
-  return false;
+  return options_.propagation_budget > 0 &&
+         stats_.propagations - solve_start_propagations_ >=
+             options_.propagation_budget;
 }
 
 bool CpSolver::Narrow(int node, ChipDomain new_domain) {
@@ -113,15 +98,9 @@ bool CpSolver::PropagateNoSkip() {
     }
     if (cap < num_chips_) {
       const ChipDomain mask = cap == 0 ? 0 : FullDomain(cap);
-      if (mask == 0) {
-        ++stats_.fail_noskip;
-        return false;  // No usable chip at all.
-      }
+      if (mask == 0) return false;  // No usable chip at all.
       for (int u = 0; u < n; ++u) {
-        if (!Narrow(u, GetDomain(u) & mask)) {
-          ++stats_.fail_noskip;
-          return false;
-        }
+        if (!Narrow(u, GetDomain(u) & mask)) return false;
       }
     }
   }
@@ -150,10 +129,7 @@ bool CpSolver::PropagateNoSkip() {
       ChipDomain allowed = m1 & MaskFrom(min_u + 1);
       if (DomainContains(m0, min_u)) allowed |= 1ULL << min_u;
       if (min_u > 0) allowed |= MaskUpTo(min_u - 1);  // Not in domain anyway.
-      if (!Narrow(u, domain & allowed)) {
-        ++stats_.fail_pigeonhole;
-        return false;
-      }
+      if (!Narrow(u, domain & allowed)) return false;
     }
   }
   if (support_one_pending_) {
@@ -168,10 +144,7 @@ bool CpSolver::PropagateNoSkip() {
       if (support_[static_cast<std::size_t>(d)] != 1) continue;
       for (int u = 0; u < n; ++u) {
         if (DomainContains(GetDomain(u), d)) {
-          if (!IsFixed(u) && !Narrow(u, 1ULL << d)) {
-            ++stats_.fail_noskip;
-            return false;
-          }
+          if (!IsFixed(u) && !Narrow(u, 1ULL << d)) return false;
           break;
         }
       }
@@ -194,7 +167,13 @@ void CpSolver::RebuildFixedChipGraph() {
 bool CpSolver::PropagateTriangle() {
   newly_fixed_.clear();
   RebuildFixedChipGraph();
-  // Every direct dependency between fixed chips must have longest path 1.
+  // Bits strictly between two chips.
+  auto between = [](int a, int b) -> ChipDomain {
+    return b > a + 1 ? (MaskFrom(a + 1) & MaskUpTo(b - 1)) : 0;
+  };
+  // Every direct dependency between fixed chips must have longest path 1;
+  // span_mask collects the chips strictly inside some dependency's span.
+  ChipDomain span_mask = 0;
   for (int a = 0; a < num_chips_; ++a) {
     ChipDomain row = fixed_adj_[static_cast<std::size_t>(a)];
     while (row != 0) {
@@ -202,46 +181,28 @@ bool CpSolver::PropagateTriangle() {
       row &= row - 1;
       if (delta_[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)] !=
           1) {
-        ++stats_.fail_triangle;
         return false;
       }
+      span_mask |= between(a, b);
     }
   }
-  if (!options_.prune_triangle_domains) return true;
-
-  // Bits strictly between two chips.
-  auto between = [](int a, int b) -> ChipDomain {
-    return b > a + 1 ? (MaskFrom(a + 1) & MaskUpTo(b - 1)) : 0;
-  };
+  // Connectivity strengthening: chips already holding fixed nodes are
+  // assumed to end up path-connected in the chip dependency graph, which
+  // holds for connected dataflow graphs.  A used chip inside a span will
+  // then complete an indirect path that violates Eq. 4: fail now, and keep
+  // span interiors out of every unfixed domain.  This caps structures like
+  // transformer residual windows at the decision that would overrun them
+  // instead of a thousand decisions later.  It is slightly incomplete (it
+  // excludes solutions that interpose a never-connected chip inside a
+  // dependency span) but essential for tractable sampling on deep graphs.
   ChipDomain used_mask = 0;
-  if (options_.assume_connected_used_chips) {
-    for (int d = 0; d < num_chips_; ++d) {
-      if (fixed_count_[static_cast<std::size_t>(d)] > 0) used_mask |= 1ULL << d;
-    }
-    // Under the connectivity assumption, a used chip strictly inside the
-    // span of an existing direct dependency will eventually complete an
-    // indirect path that violates Eq. 4: fail now, and keep span interiors
-    // out of every unfixed domain.
-    ChipDomain span_mask = 0;
-    for (int a = 0; a < num_chips_; ++a) {
-      ChipDomain row = fixed_adj_[static_cast<std::size_t>(a)];
-      while (row != 0) {
-        const int b = __builtin_ctzll(row);
-        row &= row - 1;
-        span_mask |= between(a, b);
-      }
-    }
-    if ((span_mask & used_mask) != 0) {
-      ++stats_.fail_triangle;
-      return false;
-    }
-    if (span_mask != 0) {
-      for (int u = 0; u < graph_.NumNodes(); ++u) {
-        if (!Narrow(u, GetDomain(u) & ~span_mask)) {
-          ++stats_.fail_triangle;
-          return false;
-        }
-      }
+  for (int d = 0; d < num_chips_; ++d) {
+    if (fixed_count_[static_cast<std::size_t>(d)] > 0) used_mask |= 1ULL << d;
+  }
+  if ((span_mask & used_mask) != 0) return false;
+  if (span_mask != 0) {
+    for (int u = 0; u < graph_.NumNodes(); ++u) {
+      if (!Narrow(u, GetDomain(u) & ~span_mask)) return false;
     }
   }
 
@@ -345,10 +306,7 @@ bool CpSolver::PropagateTriangle() {
         bits &= bits - 1;
         allowed |= allowed_succ_[static_cast<std::size_t>(a)];
       }
-      if (!Narrow(e.dst, dst_domain & allowed)) {
-        ++stats_.fail_triangle;
-        return false;
-      }
+      if (!Narrow(e.dst, dst_domain & allowed)) return false;
     }
     if (DomainSize(dst_domain) <= 4) {
       ChipDomain allowed = 0;
@@ -358,10 +316,7 @@ bool CpSolver::PropagateTriangle() {
         bits &= bits - 1;
         allowed |= allowed_pred_[static_cast<std::size_t>(b)];
       }
-      if (!Narrow(e.src, GetDomain(e.src) & allowed)) {
-        ++stats_.fail_triangle;
-        return false;
-      }
+      if (!Narrow(e.src, GetDomain(e.src) & allowed)) return false;
     }
   }
   return true;
@@ -373,12 +328,9 @@ bool CpSolver::Propagate() {
       const int node = queue_.back();
       queue_.pop_back();
       in_queue_[static_cast<std::size_t>(node)] = 0;
-      if (!PropagateEdges(node)) {
-        ++stats_.fail_edge;
-        return false;
-      }
+      if (!PropagateEdges(node)) return false;
     }
-    if (!PropagateNoSkip()) return false;  // Attributed inside.
+    if (!PropagateNoSkip()) return false;
     if (!queue_.empty()) continue;
     if (!newly_fixed_.empty()) {
       if (!PropagateTriangle()) return false;
@@ -429,17 +381,13 @@ int CpSolver::SetDomain(int node, ChipDomain domain) {
   decisions_.push_back(Decision{node, domain});
 
   const ChipDomain target = GetDomain(node) & domain;
-  if (target == 0) ++stats_.fail_decision;
-  const bool ok = target != 0 && Narrow(node, target) && Propagate();
-  if (ok) {
-    ++stats_.decisions;
+  if (target != 0 && Narrow(node, target) && Propagate()) {
     return NumDecisions();
   }
 
   // Failure: undo levels, excluding each failed attempt so it is not
   // retried, until the exclusion propagates cleanly.
   while (true) {
-    ++stats_.failures;
     ClearPropagationState();
     const Decision failed = PopLevel();
     const ChipDomain remaining =
@@ -455,13 +403,10 @@ int CpSolver::SetDomain(int node, ChipDomain domain) {
 }
 
 int CpSolver::MaxFixedChip() const {
-  int max_chip = -1;
-  for (ChipDomain domain : domains_) {
-    if (DomainSize(domain) == 1) {
-      max_chip = std::max(max_chip, DomainMin(domain));
-    }
+  for (int d = num_chips_ - 1; d >= 0; --d) {
+    if (fixed_count_[static_cast<std::size_t>(d)] > 0) return d;
   }
-  return max_chip;
+  return -1;
 }
 
 ChipDomain CpSolver::UnderQuotaMask(int quota) const {
@@ -478,12 +423,7 @@ int CpSolver::NumFixedNodes() const {
   return total;
 }
 
-bool CpSolver::AllFixed() const {
-  for (ChipDomain domain : domains_) {
-    if (DomainSize(domain) != 1) return false;
-  }
-  return true;
-}
+bool CpSolver::AllFixed() const { return NumFixedNodes() == num_nodes(); }
 
 Partition CpSolver::ExtractPartition() const {
   Partition partition = Partition::Empty(num_nodes(), num_chips_);

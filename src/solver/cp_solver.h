@@ -53,19 +53,6 @@ constexpr ChipDomain MaskUpTo(int chip) {
 class CpSolver {
  public:
   struct Options {
-    // Enable domain pruning from the triangle constraint (the full check on
-    // fixed nodes always runs; pruning is a search-speed optimization).
-    bool prune_triangle_domains = true;
-    // Strengthens the triangle pruning by assuming that chips already
-    // holding fixed nodes will end up path-connected in the chip dependency
-    // graph, which holds for connected dataflow graphs.  A direct chip edge
-    // (a, b) is then forbidden whenever some used chip lies strictly
-    // between a and b -- this caps structures like transformer residual
-    // windows at the decision that would overrun them, instead of a
-    // thousand decisions later.  Slightly incomplete (it excludes exotic
-    // solutions that interpose a never-connected chip inside a dependency
-    // span) but essential for tractable sampling on deep graphs.
-    bool assume_connected_used_chips = true;
     // Work budget per solve attempt: when > 0, a SetDomain call issued after
     // the solve (since the last Reset) has accumulated this many propagation
     // events fails with kBudgetExhausted instead of searching on.  Drivers
@@ -73,30 +60,15 @@ class CpSolver {
     // modes.cc), so a pathological instance costs bounded work instead of
     // aborting the run.  0 = unlimited (the default).
     std::int64_t propagation_budget = 0;
-    // Wall-clock deadline per solve attempt in seconds, measured from
-    // Reset(); 0 disables (the default).  Unlike propagation_budget this
-    // reads the monotonic clock, so exceeding it makes the *solve effort*
-    // machine-dependent -- results stay valid but are no longer bit-
-    // reproducible across machines.  Use the propagation budget when the
-    // determinism contract matters.
-    double deadline_s = 0.0;
   };
 
   // SetDomain return value when the solve attempt exceeded its
-  // propagation_budget or deadline_s (distinct from -1, root infeasible).
+  // propagation_budget (distinct from -1, root infeasible).
   static constexpr int kBudgetExhausted = -2;
 
   struct Stats {
-    std::int64_t decisions = 0;       // Successful SetDomain commits.
-    std::int64_t failures = 0;        // Propagation wipeouts.
     std::int64_t backtracks = 0;      // Decision levels undone.
     std::int64_t propagations = 0;    // Domain-narrowing events.
-    // Failure attribution (which propagator detected the wipeout).
-    std::int64_t fail_edge = 0;
-    std::int64_t fail_noskip = 0;
-    std::int64_t fail_pigeonhole = 0;
-    std::int64_t fail_triangle = 0;
-    std::int64_t fail_decision = 0;   // Empty intersection at SetDomain.
   };
 
   CpSolver(const Graph& graph, int num_chips)
@@ -187,8 +159,8 @@ class CpSolver {
   // cross-chip edges into delta_ and adjacency into fixed_adj_.
   void RebuildFixedChipGraph();
 
-  // True when the current solve attempt has exhausted its propagation or
-  // wall-clock budget (see Options); checked at every SetDomain.
+  // True when the current solve attempt has exhausted its propagation
+  // budget (see Options); checked at every SetDomain.
   bool BudgetExhausted() const;
 
   const Graph& graph_;
@@ -198,7 +170,6 @@ class CpSolver {
 
   // Budget bookkeeping for the current solve attempt (reset by Reset()).
   std::int64_t solve_start_propagations_ = 0;
-  double solve_deadline_at_s_ = 0.0;  // Absolute MonotonicSeconds; 0 = off.
 
   std::vector<ChipDomain> domains_;
   std::vector<TrailEntry> trail_;
@@ -214,7 +185,8 @@ class CpSolver {
   // Narrow when some chip's support dropped to 0 / 1.
   std::vector<int> support_;
   // Number of nodes currently fixed on each chip (maintained through the
-  // trail), feeding the connected-used-chips strengthening.
+  // trail); MaxFixedChip, NumFixedNodes and AllFixed read it, as does the
+  // triangle pruning's used-chip strengthening.
   std::vector<int> fixed_count_;
   bool support_zero_pending_ = false;
   bool support_one_pending_ = false;

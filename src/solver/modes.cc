@@ -1,8 +1,7 @@
 #include "solver/modes.h"
-#include <limits>
-#include <algorithm>
 
-#include <numeric>
+#include <algorithm>
+#include <limits>
 
 #include "common/env.h"
 #include "common/logging.h"
@@ -103,6 +102,35 @@ ChipDomain PreferredValues(const CpSolver& solver, ChipDomain domain,
 // Per-solve pacing draw; see PreferredValues.
 double DrawPaceScale(Rng& rng) { return rng.UniformDouble(0.92, 1.7); }
 
+// Nodes on which `partition` agrees with the FIX-mode `candidate`.
+int CountKept(const Partition& partition, const Partition& candidate) {
+  int kept = 0;
+  for (std::size_t u = 0; u < partition.assignment.size(); ++u) {
+    if (partition.assignment[u] == candidate.assignment[u]) ++kept;
+  }
+  return kept;
+}
+
+// The attempt loop behind the restarting entry points: each attempt runs
+// `solve` on a fresh ALAP-random order until one succeeds; when none does,
+// the result degrades to DegradedFallback.  set_domain_calls sums over all
+// attempts.
+template <typename SolveFn>
+SolveResult SolveWithRestarts(CpSolver& solver, const Graph& graph, Rng& rng,
+                              int max_attempts, SolveFn solve) {
+  SolveResult result;
+  std::int64_t total_calls = 0;
+  for (int attempt = 0; attempt < max_attempts; ++attempt) {
+    const std::vector<int> order = AlapRandomTopologicalOrder(graph, rng);
+    result = solve(order);
+    total_calls += result.set_domain_calls;
+    if (result.success) break;
+  }
+  if (!result.success) result = DegradedFallback(solver, graph);
+  result.set_domain_calls = total_calls;
+  return result;
+}
+
 }  // namespace
 
 ProbMatrix ProbMatrix::Uniform(int num_nodes, int num_chips) {
@@ -113,41 +141,6 @@ ProbMatrix ProbMatrix::Uniform(int num_nodes, int num_chips) {
       static_cast<std::size_t>(num_nodes) * static_cast<std::size_t>(num_chips),
       1.0 / num_chips);
   return probs;
-}
-
-std::vector<int> RandomNodeOrder(int num_nodes, Rng& rng) {
-  std::vector<int> order(static_cast<std::size_t>(num_nodes));
-  std::iota(order.begin(), order.end(), 0);
-  rng.Shuffle(order);
-  return order;
-}
-
-std::vector<int> TopologicalNodeOrder(const Graph& graph) {
-  return graph.TopologicalOrder();
-}
-
-std::vector<int> RandomTopologicalOrder(const Graph& graph, Rng& rng) {
-  const int n = graph.NumNodes();
-  std::vector<int> indegree(static_cast<std::size_t>(n));
-  std::vector<int> ready;
-  for (int u = 0; u < n; ++u) {
-    indegree[static_cast<std::size_t>(u)] = graph.InDegree(u);
-    if (indegree[static_cast<std::size_t>(u)] == 0) ready.push_back(u);
-  }
-  std::vector<int> order;
-  order.reserve(static_cast<std::size_t>(n));
-  while (!ready.empty()) {
-    const std::size_t pick = rng.UniformInt(ready.size());
-    const int u = ready[pick];
-    ready[pick] = ready.back();
-    ready.pop_back();
-    order.push_back(u);
-    for (int v : graph.Successors(u)) {
-      if (--indegree[static_cast<std::size_t>(v)] == 0) ready.push_back(v);
-    }
-  }
-  MCM_CHECK_EQ(static_cast<int>(order.size()), n);
-  return order;
 }
 
 std::vector<int> AlapRandomTopologicalOrder(const Graph& graph, Rng& rng) {
@@ -304,9 +297,7 @@ SolveResult SolveFixImpl(CpSolver& solver, std::span<const int> order,
   MCM_CHECK(solver.AllFixed());
   result.partition = solver.ExtractPartition();
   result.success = true;
-  for (int u = 0; u < n; ++u) {
-    if (result.partition.chip(u) == candidate.chip(u)) ++result.nodes_kept;
-  }
+  result.nodes_kept = CountKept(result.partition, candidate);
   return result;
 }
 
@@ -352,37 +343,22 @@ SolveResult SolveFix(CpSolver& solver, std::span<const int> order,
 SolveResult SolveSampleWithRestarts(CpSolver& solver, const Graph& graph,
                                     const ProbMatrix& probs, Rng& rng,
                                     int max_attempts) {
-  SolveResult result;
-  std::int64_t total_calls = 0;
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    const std::vector<int> order = AlapRandomTopologicalOrder(graph, rng);
-    result = SolveSample(solver, order, probs, rng);
-    total_calls += result.set_domain_calls;
-    if (result.success) break;
-  }
-  if (!result.success) result = DegradedFallback(solver, graph);
-  result.set_domain_calls = total_calls;
-  return result;
+  return SolveWithRestarts(
+      solver, graph, rng, max_attempts, [&](std::span<const int> order) {
+        return SolveSample(solver, order, probs, rng);
+      });
 }
 
 SolveResult SolveFixWithRestarts(CpSolver& solver, const Graph& graph,
                                  const Partition& candidate, Rng& rng,
                                  int max_attempts) {
-  SolveResult result;
-  std::int64_t total_calls = 0;
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    const std::vector<int> order = AlapRandomTopologicalOrder(graph, rng);
-    result = SolveFix(solver, order, candidate, rng);
-    total_calls += result.set_domain_calls;
-    if (result.success) break;
+  SolveResult result = SolveWithRestarts(
+      solver, graph, rng, max_attempts, [&](std::span<const int> order) {
+        return SolveFix(solver, order, candidate, rng);
+      });
+  if (result.degraded) {
+    result.nodes_kept = CountKept(result.partition, candidate);
   }
-  if (!result.success) {
-    result = DegradedFallback(solver, graph);
-    for (int u = 0; u < solver.num_nodes(); ++u) {
-      if (result.partition.chip(u) == candidate.chip(u)) ++result.nodes_kept;
-    }
-  }
-  result.set_domain_calls = total_calls;
   return result;
 }
 

@@ -58,19 +58,6 @@ struct SolveResult {
   bool degraded = false;
 };
 
-// Node-order strategies.  The paper defaults to a fresh random order per
-// solve "to explore a larger decision space".
-std::vector<int> RandomNodeOrder(int num_nodes, Rng& rng);
-std::vector<int> TopologicalNodeOrder(const Graph& graph);
-
-// A uniformly-random-ish linear extension of the DAG (Kahn's algorithm with
-// random tie-breaking).  This is the recommended default order: it keeps
-// the paper's fresh-random-order exploration while guaranteeing that a
-// node's predecessors are assigned first, which turns the triangle
-// constraint into forward checking (violations surface at the decision
-// that caused them instead of via deep backtracking).
-std::vector<int> RandomTopologicalOrder(const Graph& graph, Rng& rng);
-
 // As-late-as-possible randomized topological order: among ready nodes, one
 // with the smallest ALAP level is picked uniformly at random.  This keeps a
 // node (in particular a constant / graph input) undecided until just before
@@ -78,7 +65,8 @@ std::vector<int> RandomTopologicalOrder(const Graph& graph, Rng& rng);
 // plain random linear extension decides such nodes first, when they are
 // nearly unconstrained, and the resulting conflicts only surface hundreds
 // of decisions later (catastrophic backtracking on BERT-sized graphs).
-// This is the default order used by the search strategies and the RL loop.
+// The paper draws a fresh random order per solve "to explore a larger
+// decision space"; this is that order for every solve driver.
 std::vector<int> AlapRandomTopologicalOrder(const Graph& graph, Rng& rng);
 
 // Algorithm 1: SAMPLE mode.  Resets the solver, then assigns nodes in

@@ -315,20 +315,5 @@ TEST(BestPartitionTest, EnvTracksIncumbent) {
   }
 }
 
-TEST(SolverOptionsTest, PropagationCanBeDisabled) {
-  // With all pruning off the solver is still correct (just slower): small
-  // graphs must still solve and validate.
-  const Graph g = MakeMlp("m", 64, {64, 64}, 10);
-  CpSolver::Options options;
-  options.prune_triangle_domains = false;
-  options.assume_connected_used_chips = false;
-  CpSolver solver(g, 8, options);
-  const ProbMatrix uniform = ProbMatrix::Uniform(g.NumNodes(), 8);
-  Rng rng(3);
-  const SolveResult r = SolveSampleWithRestarts(solver, g, uniform, rng);
-  ASSERT_TRUE(r.success);
-  EXPECT_EQ(ValidateStatic(g, r.partition), Violation::kNone);
-}
-
 }  // namespace
 }  // namespace mcm

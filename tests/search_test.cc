@@ -198,7 +198,7 @@ TEST(NoSolverRlTest, FindsNoValidPartition) {
   config.rollouts_per_update = 10;
   config.seed = 9;
   PolicyNetwork policy(config);
-  NoSolverRlSearch search(policy, Rng(7));
+  RlSearch search(policy, Rng(7), /*zero_shot=*/false, "RL-NoSolver");
   const SearchTrace trace = search.Run(f.context, f.env, 40);
   EXPECT_EQ(trace.rewards.size(), 40u);
   EXPECT_DOUBLE_EQ(trace.BestWithin(40), 0.0);

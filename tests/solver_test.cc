@@ -1,6 +1,9 @@
 // Tests for the CP solver: domain helpers, propagation, backtracking, the
 // SAMPLE/FIX drivers (paper Algorithms 1 and 2), and solve-validity property
 // sweeps over the corpus.
+#include <algorithm>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -57,7 +60,7 @@ TEST(CpSolverTest, NoSkipForcesSourceToChipZero) {
   // The decision failed and was excluded; no decision remains on the stack.
   EXPECT_EQ(decisions, 0);
   EXPECT_FALSE(DomainContains(solver.GetDomain(0), 3));
-  EXPECT_GT(solver.stats().failures, 0);
+  EXPECT_GT(solver.stats().backtracks, 0);
 }
 
 TEST(CpSolverTest, PigeonholeLimitsChainHeads) {
@@ -144,24 +147,7 @@ bool IsPermutation(const std::vector<int>& order, int n) {
 TEST(NodeOrderTest, AllOrdersArePermutations) {
   const Graph g = MakeResNet("r", ResNetConfig{});
   Rng rng(3);
-  EXPECT_TRUE(IsPermutation(RandomNodeOrder(g.NumNodes(), rng), g.NumNodes()));
-  EXPECT_TRUE(IsPermutation(TopologicalNodeOrder(g), g.NumNodes()));
-  EXPECT_TRUE(IsPermutation(RandomTopologicalOrder(g, rng), g.NumNodes()));
   EXPECT_TRUE(IsPermutation(AlapRandomTopologicalOrder(g, rng), g.NumNodes()));
-}
-
-TEST(NodeOrderTest, RandomTopologicalRespectsEdges) {
-  const Graph g = MakeInception("i", InceptionConfig{});
-  Rng rng(11);
-  const std::vector<int> order = RandomTopologicalOrder(g, rng);
-  std::vector<int> position(static_cast<std::size_t>(g.NumNodes()));
-  for (int i = 0; i < g.NumNodes(); ++i) {
-    position[static_cast<std::size_t>(order[static_cast<std::size_t>(i)])] = i;
-  }
-  for (const Edge& e : g.edges()) {
-    EXPECT_LT(position[static_cast<std::size_t>(e.src)],
-              position[static_cast<std::size_t>(e.dst)]);
-  }
 }
 
 TEST(NodeOrderTest, AlapOrderDefersSourcesAfterConsumers) {
@@ -273,7 +259,7 @@ TEST(SolveFixTest, ValidCandidateIsKeptVerbatim) {
   }
   ASSERT_EQ(ValidateStatic(g, candidate), Violation::kNone);
   Rng rng(5);
-  const auto order = TopologicalNodeOrder(g);
+  const auto order = g.TopologicalOrder();
   const SolveResult r = SolveFix(solver, order, candidate, rng);
   ASSERT_TRUE(r.success);
   EXPECT_EQ(r.nodes_kept, 12);
@@ -290,7 +276,7 @@ TEST(SolveFixTest, RepairsInvalidCandidate) {
   }
   ASSERT_NE(ValidateStatic(g, candidate), Violation::kNone);
   Rng rng(6);
-  const auto order = TopologicalNodeOrder(g);
+  const auto order = g.TopologicalOrder();
   const SolveResult r = SolveFix(solver, order, candidate, rng);
   ASSERT_TRUE(r.success);
   EXPECT_EQ(ValidateStatic(g, r.partition), Violation::kNone);
@@ -337,6 +323,46 @@ TEST(SolveBertTest, SampleAndFixSolveBertWithoutThrashing) {
   ASSERT_TRUE(fixed.success);
   EXPECT_EQ(ValidateStatic(bert, fixed.partition), Violation::kNone);
   EXPECT_GT(fixed.nodes_kept, bert.NumNodes() / 2);
+
+  // MaxFixedChip and AllFixed are derived from the per-chip fixed counts
+  // the trail maintains; after every SetDomain they must equal a scan of
+  // the domains.  Two walks: uniform picks over the whole live domain (no
+  // open-chips-in-order rule) backtrack within the first n calls, and picks
+  // restricted to the open chips complete the solve.
+  const int n = bert.NumNodes();
+  for (const bool open_in_order : {false, true}) {
+    const auto walk_order = AlapRandomTopologicalOrder(bert, rng);
+    solver.Reset();
+    const std::int64_t backtracks_before = solver.stats().backtracks;
+    int i = 0;
+    for (int calls = 0; i < n && calls < n; ++calls) {
+      const int u = walk_order[static_cast<std::size_t>(i)];
+      ChipDomain bits = solver.GetDomain(u);
+      const ChipDomain open = bits & MaskUpTo(solver.MaxFixedChip() + 1);
+      if (open_in_order && open != 0) bits = open;
+      const int pick = static_cast<int>(
+          rng.UniformInt(static_cast<std::uint64_t>(DomainSize(bits))));
+      for (int skip = 0; skip < pick; ++skip) bits &= bits - 1;
+      i = solver.SetDomain(u, 1ULL << __builtin_ctzll(bits));
+      ASSERT_GE(i, 0);
+      int scan_max = -1;
+      bool scan_all_fixed = true;
+      for (int v = 0; v < n; ++v) {
+        if (solver.IsFixed(v)) {
+          scan_max = std::max(scan_max, solver.FixedValue(v));
+        } else {
+          scan_all_fixed = false;
+        }
+      }
+      ASSERT_EQ(solver.MaxFixedChip(), scan_max) << "call " << calls;
+      ASSERT_EQ(solver.AllFixed(), scan_all_fixed) << "call " << calls;
+    }
+    if (open_in_order) {
+      EXPECT_TRUE(solver.AllFixed());
+    } else {
+      EXPECT_GT(solver.stats().backtracks, backtracks_before);
+    }
+  }
 }
 
 TEST(ProbMatrixTest, UniformRowsSumToOne) {
