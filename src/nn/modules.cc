@@ -86,11 +86,11 @@ Mlp::Mlp(std::string name, const std::vector<int>& dims, Rng& rng) {
   }
 }
 
-VarId Mlp::Forward(Tape& tape, VarId x) {
+VarId Mlp::Forward(Tape& tape, VarId x, std::size_t resume) {
   VarId h = x;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
+  for (std::size_t i = resume; i < layers_.size(); ++i) {
+    if (i > 0) h = tape.ReluOp(h);
     h = layers_[i].Forward(tape, h);
-    if (i + 1 < layers_.size()) h = tape.ReluOp(h);
   }
   return h;
 }

@@ -84,7 +84,9 @@ class Mlp {
  public:
   Mlp(std::string name, const std::vector<int>& dims, Rng& rng);
 
-  VarId Forward(Tape& tape, VarId x);
+  // Forward(tape, x) runs every layer on x.  With `resume` = k > 0, x is
+  // layer k-1's output before its ReLU, and layers [k, end) run on it.
+  VarId Forward(Tape& tape, VarId x, std::size_t resume = 0);
   ParamRefs Params();
 
  private:

@@ -193,32 +193,26 @@ VarId Tape::TanhOp(VarId a) {
   return id;
 }
 
-VarId Tape::ConcatCols(VarId a, VarId b) {
+VarId Tape::GatherRowsOp(VarId a, std::span<const int> rows) {
   const Matrix& av = value(a);
-  const Matrix& bv = value(b);
-  MCM_CHECK_EQ(av.rows, bv.rows);
-  const int a_cols = av.cols;  // Read before Emplace invalidates references.
-  Matrix out = ScratchArena::AcquireUninit(av.rows, av.cols + bv.cols);
-  for (int i = 0; i < av.rows; ++i) {
-    auto row = out.row(i);
-    const auto arow = av.row(i);
-    const auto brow = bv.row(i);
-    std::copy(arow.begin(), arow.end(), row.begin());
-    std::copy(brow.begin(), brow.end(), row.begin() + av.cols);
+  Matrix out = ScratchArena::AcquireUninit(static_cast<int>(rows.size()),
+                                           av.cols);
+  for (int i = 0; i < out.rows; ++i) {
+    MCM_CHECK(rows[i] >= 0 && rows[i] < av.rows);
+    const auto src = av.row(rows[i]);
+    std::copy(src.begin(), src.end(), out.row(i).begin());
   }
   const VarId id = Emplace(std::move(out));
-  nodes_[static_cast<std::size_t>(id)].backward = [this, a, b, id, a_cols] {
-    const Matrix& dout = grad(id);
-    Matrix& da = mutable_grad(a);
-    Matrix& db = mutable_grad(b);
-    for (int i = 0; i < dout.rows; ++i) {
-      const auto drow = dout.row(i);
-      auto da_row = da.row(i);
-      auto db_row = db.row(i);
-      for (int j = 0; j < a_cols; ++j) da_row[j] += drow[j];
-      for (int j = 0; j < db.cols; ++j) db_row[j] += drow[a_cols + j];
-    }
-  };
+  nodes_[static_cast<std::size_t>(id)].backward =
+      [this, a, id, rows = std::vector<int>(rows.begin(), rows.end())] {
+        const Matrix& dout = grad(id);
+        Matrix& da = mutable_grad(a);
+        for (int i = 0; i < dout.rows; ++i) {
+          const auto drow = dout.row(i);
+          auto dst = da.row(rows[static_cast<std::size_t>(i)]);
+          for (int j = 0; j < dout.cols; ++j) dst[j] += drow[j];
+        }
+      };
   return id;
 }
 

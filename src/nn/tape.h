@@ -2,8 +2,8 @@
 //
 // Values are computed eagerly as ops are recorded; `Backward` replays the
 // tape in reverse, accumulating gradients.  The op set is exactly what the
-// paper's networks need: affine layers, ReLU/tanh, column concatenation,
-// the GraphSAGE mean-neighbor aggregation, row/column reductions, and fused
+// paper's networks need: affine layers, ReLU/tanh, row gathers, the
+// GraphSAGE mean-neighbor aggregation, row/column reductions, and fused
 // PPO / value losses with hand-derived gradients (verified against finite
 // differences in tests/nn_test.cc).
 #pragma once
@@ -78,8 +78,9 @@ class Tape {
   // Elementwise nonlinearities.
   VarId ReluOp(VarId a);
   VarId TanhOp(VarId a);
-  // out = [a | b] column-wise (same row count).
-  VarId ConcatCols(VarId a, VarId b);
+  // out[i,:] = a[rows[i],:].  Rows may repeat and come in any order; the
+  // backward pass scatter-adds into a serially in i order.
+  VarId GatherRowsOp(VarId a, std::span<const int> rows);
   // out[i,:] = mean over j in neighbors(i) of a[j,:]; zero row when a node
   // has no neighbors.  `lists` must be finalized (see NeighborLists), stay
   // alive, and stay unmodified until this tape is destroyed: the backward

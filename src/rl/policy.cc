@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 
 #include "common/env.h"
 #include "common/logging.h"
@@ -12,19 +13,6 @@
 
 namespace mcm {
 namespace {
-
-// One-hot encoding of an action vector as an [N x C] matrix; nullptr (no
-// previous iteration) encodes as all zeros.
-Matrix OneHotActions(const std::vector<int>* actions, int num_nodes,
-                     int num_chips) {
-  Matrix m(num_nodes, num_chips);
-  if (actions == nullptr) return m;
-  MCM_CHECK_EQ(static_cast<int>(actions->size()), num_nodes);
-  for (int i = 0; i < num_nodes; ++i) {
-    m.at(i, (*actions)[static_cast<std::size_t>(i)]) = 1.0f;
-  }
-  return m;
-}
 
 std::vector<int> MlpDims(int in_dim, int hidden_dim, int out_dim,
                          int num_layers) {
@@ -35,9 +23,6 @@ std::vector<int> MlpDims(int in_dim, int hidden_dim, int out_dim,
   return dims;
 }
 
-}  // namespace
-
-namespace {
 std::uint64_t NextGraphContextUid() {
   static std::atomic<std::uint64_t> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);
@@ -151,97 +136,88 @@ VarId PolicyNetwork::EmbedGraph(Tape& tape, GraphContext& context) {
   return feature_net_.Forward(tape, features, &context.neighbors());
 }
 
-VarId PolicyNetwork::HeadLogits(Tape& tape, VarId embeddings,
+PolicyNetwork::HeadInput PolicyNetwork::RecordHeadInput(Tape& tape,
+                                                        VarId embeddings) {
+  const ParamRefs params = policy_head_.Params();  // fc0/w, fc0/b, ...
+  const VarId w1 = tape.Parameter(&params[0]->value, &params[0]->grad);
+  const VarId b1 = tape.Parameter(&params[1]->value, &params[1]->grad);
+  std::vector<int> rows(static_cast<std::size_t>(tape.value(embeddings).cols));
+  std::iota(rows.begin(), rows.end(), 0);
+  const VarId w_h = tape.GatherRowsOp(w1, rows);
+  return {w1, tape.AddRowBroadcast(tape.MatMulOp(embeddings, w_h), b1)};
+}
+
+VarId PolicyNetwork::HeadLogits(Tape& tape, const HeadInput& head,
                                 const std::vector<int>* prev) {
-  const Matrix& h = tape.value(embeddings);
-  const VarId prev_onehot =
-      tape.Constant(OneHotActions(prev, h.rows, config_.num_chips));
-  return policy_head_.Forward(tape, tape.ConcatCols(embeddings, prev_onehot));
+  VarId pre = head.base;
+  if (prev != nullptr) {
+    const int offset = tape.value(head.w1).rows - config_.num_chips;
+    std::vector<int> rows(prev->size());
+    for (std::size_t i = 0; i < rows.size(); ++i) rows[i] = offset + (*prev)[i];
+    pre = tape.AddOp(pre, tape.GatherRowsOp(head.w1, rows));
+  }
+  return policy_head_.Forward(tape, pre, /*resume=*/1);
+}
+
+VarId PolicyNetwork::ValueHead(Tape& tape, VarId embeddings) {
+  return value_head_.Forward(tape, tape.MeanRowsOp(embeddings));
 }
 
 Rollout PolicyNetwork::SampleRollout(GraphContext& context, Rng& rng) {
+  return Decode(context, &rng);
+}
+
+Rollout PolicyNetwork::GreedyRollout(GraphContext& context) {
+  return Decode(context, nullptr);
+}
+
+Rollout PolicyNetwork::Decode(GraphContext& context, Rng* rng) {
   Tape tape;
   const VarId h = EmbedGraphForInference(tape, context);
+  const HeadInput head = RecordHeadInput(tape, h);
   const int n = context.num_nodes();
   const int c = config_.num_chips;
 
   Rollout rollout;
-  const std::vector<int>* prev = nullptr;
   Matrix probs;
+  std::vector<double> weights(static_cast<std::size_t>(c));
   for (int t = 0; t < config_.decode_iterations; ++t) {
-    const VarId logits = HeadLogits(tape, h, prev);
+    const VarId logits =
+        HeadLogits(tape, head, t == 0 ? nullptr : &rollout.actions.back());
     probs = Tape::RowSoftmax(tape.value(logits));
     std::vector<int> actions(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
-      std::vector<double> weights(static_cast<std::size_t>(c));
       const auto row = probs.row(i);
-      for (int j = 0; j < c; ++j) weights[static_cast<std::size_t>(j)] = row[j];
-      actions[static_cast<std::size_t>(i)] =
-          static_cast<int>(rng.SampleDiscrete(weights));
+      if (rng != nullptr) {
+        std::copy(row.begin(), row.end(), weights.begin());
+        actions[static_cast<std::size_t>(i)] =
+            static_cast<int>(rng->SampleDiscrete(weights));
+      } else {
+        actions[static_cast<std::size_t>(i)] = static_cast<int>(
+            std::max_element(row.begin(), row.end()) - row.begin());
+      }
     }
     rollout.old_logp.push_back(
         Tape::RowLogProbs(tape.value(logits), actions));
     rollout.actions.push_back(std::move(actions));
-    prev = &rollout.actions.back();
   }
 
   rollout.probs.num_nodes = n;
   rollout.probs.num_chips = c;
   rollout.probs.data.assign(probs.data.begin(), probs.data.end());
-  // Epsilon-mix with uniform: the behavior distribution the solver samples
-  // from (and whose log-probs are recorded when retargeting at y').
-  const double mix = config_.exploration_mix;
+  // Epsilon-mix with uniform when sampling: the behavior distribution the
+  // solver samples from (and whose log-probs are recorded when retargeting
+  // at y').
+  const double mix = rng != nullptr ? config_.exploration_mix : 0.0;
   if (mix > 0.0) {
     for (double& p : rollout.probs.data) {
       p = (1.0 - mix) * p + mix / c;
     }
   }
-
   rollout.candidate = Partition::Empty(n, c);
-  const auto& final_actions = rollout.actions.back();
-  for (int i = 0; i < n; ++i) {
-    rollout.candidate.assignment[static_cast<std::size_t>(i)] =
-        final_actions[static_cast<std::size_t>(i)];
-  }
-  rollout.value_pred = static_cast<double>(
-      tape.value(value_head_.Forward(tape, tape.MeanRowsOp(h))).at(0, 0));
-  return rollout;
-}
-
-Rollout PolicyNetwork::GreedyRollout(GraphContext& context) {
-  Tape tape;
-  const VarId h = EmbedGraphForInference(tape, context);
-  const int n = context.num_nodes();
-  const int c = config_.num_chips;
-
-  Rollout rollout;
-  const std::vector<int>* prev = nullptr;
-  Matrix probs;
-  for (int t = 0; t < config_.decode_iterations; ++t) {
-    const VarId logits = HeadLogits(tape, h, prev);
-    probs = Tape::RowSoftmax(tape.value(logits));
-    std::vector<int> actions(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      const auto row = probs.row(i);
-      actions[static_cast<std::size_t>(i)] = static_cast<int>(
-          std::max_element(row.begin(), row.end()) - row.begin());
-    }
-    rollout.old_logp.push_back(
-        Tape::RowLogProbs(tape.value(logits), actions));
-    rollout.actions.push_back(std::move(actions));
-    prev = &rollout.actions.back();
-  }
-  rollout.probs.num_nodes = n;
-  rollout.probs.num_chips = c;
-  rollout.probs.data.assign(probs.data.begin(), probs.data.end());
-  rollout.candidate = Partition::Empty(n, c);
-  const auto& final_actions = rollout.actions.back();
-  for (int i = 0; i < n; ++i) {
-    rollout.candidate.assignment[static_cast<std::size_t>(i)] =
-        final_actions[static_cast<std::size_t>(i)];
-  }
-  rollout.value_pred = static_cast<double>(
-      tape.value(value_head_.Forward(tape, tape.MeanRowsOp(h))).at(0, 0));
+  rollout.candidate.assignment = rollout.actions.back();
+  rollout.value_pred =
+      static_cast<double>(tape.value(ValueHead(tape, h)).at(0, 0));
   return rollout;
 }
 
@@ -256,21 +232,25 @@ VarId PolicyNetwork::BuildMinibatchLoss(
     std::span<const Rollout* const> rollouts) {
   MCM_CHECK(!rollouts.empty());
   const VarId h = EmbedGraph(tape, context);
+  // Iteration 0 (no previous actions) and the value head depend only on h,
+  // so every rollout shares one copy of each.
+  const HeadInput head = RecordHeadInput(tape, h);
+  const VarId first_logits = HeadLogits(tape, head, nullptr);
+  const VarId value = ValueHead(tape, h);
   const double inv_batch = 1.0 / static_cast<double>(rollouts.size());
   VarId total = -1;
   for (const Rollout* rollout : rollouts) {
     VarId sample_loss = -1;
-    const std::vector<int>* prev = nullptr;
     for (std::size_t t = 0; t < rollout->actions.size(); ++t) {
-      const VarId logits = HeadLogits(tape, h, prev);
+      const VarId logits =
+          t == 0 ? first_logits
+                 : HeadLogits(tape, head, &rollout->actions[t - 1]);
       const VarId ppo = tape.PpoLossOp(
           logits, rollout->actions[t], rollout->advantage,
           rollout->old_logp[t], config_.clip_epsilon, config_.entropy_coef);
       sample_loss =
           sample_loss < 0 ? ppo : tape.AddScaled(sample_loss, 1.0, ppo, 1.0);
-      prev = &rollout->actions[t];
     }
-    const VarId value = value_head_.Forward(tape, tape.MeanRowsOp(h));
     const VarId value_loss = tape.SquaredErrorOp(value, rollout->reward);
     sample_loss =
         tape.AddScaled(sample_loss, 1.0, value_loss, config_.value_coef);
@@ -284,8 +264,7 @@ VarId PolicyNetwork::BuildMinibatchLoss(
 double PolicyNetwork::PredictValue(GraphContext& context) {
   Tape tape;
   const VarId h = EmbedGraphForInference(tape, context);
-  return static_cast<double>(
-      tape.value(value_head_.Forward(tape, tape.MeanRowsOp(h))).at(0, 0));
+  return static_cast<double>(tape.value(ValueHead(tape, h)).at(0, 0));
 }
 
 }  // namespace mcm

@@ -172,10 +172,22 @@ class PolicyNetwork {
   VarId EmbedGraphForInference(Tape& tape, GraphContext& context);
   Matrix CachedEmbedding(GraphContext& context);
   std::uint64_t FeatureParamsFingerprint();
-  // Records one decode-iteration head: embeddings + one-hot(prev actions)
-  // -> logits [N x C].  `prev` may be null for iteration 0.
-  VarId HeadLogits(Tape& tape, VarId embeddings,
+  // The Eq. (7) head, factored over the shared embedding h [N x H].  Its
+  // first layer [h | onehot(prev)]·W1 + b1 equals h·W1[0, H) + b1 plus row
+  // H + prev[i] of W1, so the first term is recorded once per tape and each
+  // decode iteration after the first adds one row gather of W1.
+  struct HeadInput {
+    VarId w1;    // policy/fc0/w, [(H + C) x D].
+    VarId base;  // h·W1[0, H) + b1, [N x D]: the first layer at t = 0.
+  };
+  HeadInput RecordHeadInput(Tape& tape, VarId embeddings);
+  // Logits [N x C] of one decode iteration; `prev` is null for t = 0.
+  VarId HeadLogits(Tape& tape, const HeadInput& head,
                    const std::vector<int>* prev);
+  VarId ValueHead(Tape& tape, VarId embeddings);
+  // The T-iteration decode: every node samples its chip from its row of P
+  // when `rng` is set, and takes the argmax otherwise.
+  Rollout Decode(GraphContext& context, Rng* rng);
 
   RlConfig config_;
   Rng init_rng_;

@@ -29,13 +29,9 @@ RetryPolicy RequestRetryPolicy(const PartitionRequest& request) {
   return policy;
 }
 
-// Deadline -> deterministic CP-solver work budget (0 = unlimited).
 CpSolver::Options RequestSolverOptions(const PartitionRequest& request) {
   CpSolver::Options options;
-  if (request.deadline_ms > 0) {
-    options.propagation_budget = std::max<std::int64_t>(
-        request.deadline_ms * kSolverPropagationsPerMs, 10000);
-  }
+  options.propagation_budget = SolverPropagationBudget(request.deadline_ms);
   return options;
 }
 
@@ -154,6 +150,12 @@ PartitionResponse Execute(const PartitionRequest& request,
 }
 
 }  // namespace
+
+std::int64_t SolverPropagationBudget(std::int64_t deadline_ms) {
+  if (deadline_ms <= 0) return 0;
+  return std::max<std::int64_t>(deadline_ms * kSolverPropagationsPerMs,
+                                10000);
+}
 
 ServingPolicy ServingPolicy::FromFile(const RlConfig& config,
                                       const std::string& path) {

@@ -36,6 +36,11 @@ namespace mcm::service {
 // Deterministic deadline->solver-budget conversion (see header comment).
 inline constexpr std::int64_t kSolverPropagationsPerMs = 2000;
 
+// The CP-solver propagation budget a request deadline becomes: 0
+// (unlimited) without one, else kSolverPropagationsPerMs per millisecond
+// with a floor of 10,000.
+std::int64_t SolverPropagationBudget(std::int64_t deadline_ms);
+
 // Warm-start weights for zeroshot/finetune requests, loaded once at serve
 // time.  Each request copies the parameters into a private policy instance,
 // so requests can never observe each other's fine-tuning updates.

@@ -305,13 +305,26 @@ TEST(TapeGradientTest, Tanh) {
   });
 }
 
-TEST(TapeGradientTest, ConcatCols) {
-  Rng rng(8);
-  Matrix other = RandomMatrix(3, 2, rng);
-  CheckGradients(3, 4, [&](Tape& tape, VarId x) {
-    const VarId b = tape.Constant(other);
-    return Readout(tape, tape.ConcatCols(x, b));
+TEST(TapeGradientTest, GatherRows) {
+  // Out of order, with row 2 taken three times and row 1 never: the
+  // backward pass must scatter-add every repeat and leave row 1 at zero.
+  const std::vector<int> rows = {3, 2, 0, 2, 4, 2};
+  CheckGradients(5, 3, [&](Tape& tape, VarId x) {
+    return Readout(tape, tape.GatherRowsOp(x, rows));
   });
+  Tape tape;
+  Rng rng(8);
+  Matrix value = RandomMatrix(5, 3, rng);
+  Matrix grad(5, 3);
+  const VarId x = tape.Parameter(&value, &grad);
+  const VarId out = tape.GatherRowsOp(x, rows);
+  for (int i = 0; i < 6; ++i) {
+    for (int j = 0; j < 3; ++j) {
+      EXPECT_EQ(tape.value(out).at(i, j), value.at(rows[i], j));
+    }
+  }
+  tape.Backward(Readout(tape, out));
+  for (int j = 0; j < 3; ++j) EXPECT_EQ(grad.at(1, j), 0.0f);
 }
 
 TEST(TapeGradientTest, NeighborMean) {

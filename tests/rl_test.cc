@@ -92,6 +92,125 @@ TEST(PolicyTest, LossIsFiniteAndBackpropagates) {
   EXPECT_GT(grad_norm, 0.0);
 }
 
+// Samples `count` rollouts with distinct rewards and advantages.
+std::vector<Rollout> SampleScoredRollouts(PolicyNetwork& policy,
+                                          GraphContext& context, int count) {
+  Rng rng(3);
+  std::vector<Rollout> rollouts;
+  for (int k = 0; k < count; ++k) {
+    rollouts.push_back(policy.SampleRollout(context, rng));
+    rollouts.back().reward = 0.4 + 0.15 * k;
+    rollouts.back().advantage = 0.3 * (k % 4) - 0.5;
+  }
+  return rollouts;
+}
+
+// The minibatch loss over `rollouts`; with `backward`, its gradients are
+// also accumulated into the parameters.
+double MinibatchLoss(PolicyNetwork& policy, GraphContext& context,
+                     const std::vector<Rollout>& rollouts, bool backward) {
+  std::vector<const Rollout*> ptrs;
+  for (const Rollout& r : rollouts) ptrs.push_back(&r);
+  Tape tape;
+  const VarId loss = policy.BuildMinibatchLoss(tape, context, ptrs);
+  if (backward) tape.Backward(loss);
+  return tape.value(loss).at(0, 0);
+}
+
+// The minibatch loss shares iteration 0's head and the value head across
+// its rollouts; sharing must not change what it computes.
+TEST(PolicyTest, MinibatchLossIsMeanOfRolloutLosses) {
+  const Graph g = MakeMlp("m", 64, {64, 64}, 10);
+  GraphContext context(g, 36);
+  PolicyNetwork policy(TinyConfig());
+  const std::vector<Rollout> rollouts =
+      SampleScoredRollouts(policy, context, 10);
+  const ParamRefs params = policy.Params();
+
+  const double batch_loss =
+      MinibatchLoss(policy, context, rollouts, /*backward=*/true);
+  std::vector<Matrix> batch_grads;
+  for (Param* p : params) {
+    batch_grads.push_back(p->grad);
+    p->grad.Zero();
+  }
+
+  double loss_sum = 0.0;
+  for (const Rollout& rollout : rollouts) {
+    Tape tape;
+    const VarId loss = policy.BuildLoss(tape, context, rollout);
+    tape.Backward(loss);  // Gradients of all ten add up in p->grad.
+    loss_sum += tape.value(loss).at(0, 0);
+  }
+  const double mean_loss = loss_sum / 10.0;
+  EXPECT_NEAR(batch_loss, mean_loss, 1e-6 * std::abs(mean_loss));
+  for (std::size_t k = 0; k < params.size(); ++k) {
+    float largest = 0.0f;
+    for (float x : params[k]->grad.data) {
+      largest = std::max(largest, std::abs(x / 10.0f));
+    }
+    ASSERT_GT(largest, 0.0f) << params[k]->name;
+    for (std::size_t i = 0; i < params[k]->grad.data.size(); ++i) {
+      ASSERT_NEAR(batch_grads[k].data[i], params[k]->grad.data[i] / 10.0f,
+                  1e-5f * largest)
+          << params[k]->name << "[" << i << "]";
+    }
+  }
+}
+
+// Central differences through the factored head (both decode iterations)
+// and the value head, at every supported head depth.
+TEST(PolicyTest, HeadGradientsMatchFiniteDifferences) {
+  const Graph g = MakeMlp("m", 16, {16}, 4);
+  GraphContext context(g, 4);
+  for (int layers = 1; layers <= 3; ++layers) {
+    RlConfig config = TinyConfig();
+    config.num_chips = 4;
+    config.hidden_dim = 8;
+    config.gnn_layers = 1;
+    config.policy_layers = layers;
+    PolicyNetwork policy(config);
+    // Biases start at zero, so a row whose hidden units are all dead sits
+    // exactly on a ReLU kink, where central differences disagree with the
+    // one-sided derivative backprop takes.  Move every bias off zero.
+    Rng bias_rng(11);
+    for (Param* p : policy.Params()) {
+      if (p->name.ends_with("/b")) {
+        for (float& x : p->value.data) {
+          x = static_cast<float>(bias_rng.UniformDouble(-0.2, 0.2));
+        }
+      }
+    }
+    const std::vector<Rollout> rollouts =
+        SampleScoredRollouts(policy, context, 3);
+    MinibatchLoss(policy, context, rollouts, /*backward=*/true);
+    for (Param* p : policy.Params()) {
+      if (!p->name.starts_with("policy/") && !p->name.starts_with("value/")) {
+        continue;
+      }
+      float largest = 0.0f;
+      for (float x : p->grad.data) largest = std::max(largest, std::abs(x));
+      ASSERT_GT(largest, 0.0f) << p->name << " at " << layers << " layers";
+      const Matrix analytic = p->grad;
+      const std::size_t size = p->value.data.size();
+      const std::size_t stride = std::max<std::size_t>(1, size / 7);
+      for (std::size_t i = 0; i < size; i += stride) {
+        const float saved = p->value.data[i];
+        const float step = 1e-3f;
+        auto loss_at = [&](float x) {
+          p->value.data[i] = x;
+          return MinibatchLoss(policy, context, rollouts, /*backward=*/false);
+        };
+        const double numeric =
+            (loss_at(saved + step) - loss_at(saved - step)) / (2.0 * step);
+        p->value.data[i] = saved;
+        EXPECT_NEAR(numeric, analytic.data[i], 2e-2 * largest + 1e-5)
+            << p->name << "[" << i << "] at " << layers << " layers";
+      }
+    }
+  }
+}
+
 TEST(EnvTest, RewardIsImprovementOverBaseline) {
   const Graph g = MakeMlp("m", 64, {64, 64}, 10);
   AnalyticalCostModel model{McmConfig{}};

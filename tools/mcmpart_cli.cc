@@ -18,7 +18,8 @@
 //     --seed S         RNG seed                           (default 1)
 //     --deadline-ms D  soft deadline: caps the evaluation retry budget and
 //                      derives a deterministic CP-solver work budget
-//                      (default 0 = none)
+//                      (default 0 = none); solves that exhaust it fall
+//                      back to a heuristic placement, with a warning
 //     --checkpoint F   warm-start rl/zeroshot from a pretrained checkpoint
 //     --checkpoint-shape quick|pretrain       network shape F was written
 //                      with (default quick; `mcmpart pretrain` writes
@@ -272,6 +273,9 @@ int RunPartition(const Graph& graph, int argc, char** argv) {
   const std::unique_ptr<service::ServingPolicy> warm =
       LoadServingPolicy(checkpoint_path, checkpoint_shape, request.chips);
 
+  telemetry::Counter& degraded =
+      telemetry::Counter::Get("solver/degraded_solves");
+  const std::int64_t degraded_before = degraded.Value();
   // The exact same function the daemon executes: a served placement for
   // this request is bit-identical to this offline run (handler.h).
   std::unique_ptr<telemetry::PhaseTimer> timer =
@@ -279,9 +283,29 @@ int RunPartition(const Graph& graph, int argc, char** argv) {
   const service::PartitionResponse response =
       service::ExecutePartitionRequest(request, warm.get());
   timer.reset();
+  const std::int64_t degraded_solves = degraded.Value() - degraded_before;
 
   PrintResponse(response, graph, out_path);
   report.SetValue("best_improvement", response.improvement);
+  report.SetValue("degraded_solves", static_cast<double>(degraded_solves));
+  // A degraded solve returns the greedy or single-chip fallback, so the
+  // placement above may be far from what the method finds unhurried.
+  if (degraded_solves > 0) {
+    std::fprintf(stderr,
+                 "warning: %lld solve(s) ran out of budget and fell back "
+                 "to a heuristic placement",
+                 static_cast<long long>(degraded_solves));
+    if (request.deadline_ms > 0) {
+      std::fprintf(
+          stderr,
+          "; --deadline-ms %lld allows %lld propagations per solve, try a "
+          "larger --deadline-ms",
+          static_cast<long long>(request.deadline_ms),
+          static_cast<long long>(
+              service::SolverPropagationBudget(request.deadline_ms)));
+    }
+    std::fprintf(stderr, "\n");
+  }
   if (!metrics_path.empty() && report.Write(metrics_path)) {
     std::printf("wrote metrics to %s\n", metrics_path.c_str());
   }
