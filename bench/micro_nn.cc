@@ -165,30 +165,12 @@ void BM_GraphSageForward(benchmark::State& state) {
   const Graph& graph = GraphForCase(static_cast<int>(state.range(0)));
   GraphContext context(graph, 36);
   PolicyNetwork policy(BenchRlConfig());
-  // Disable the embedding cache so this measures the full forward pass.
-  policy.set_embedding_cache_enabled(false);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(policy.PredictValue(context));
+    benchmark::DoNotOptimize(policy.Embed(context).data.data());
   }
   state.counters["nodes"] = graph.NumNodes();
 }
 BENCHMARK(BM_GraphSageForward)->DenseRange(0, 1)->Unit(benchmark::kMillisecond)->Iterations(10);
-
-void BM_GraphSageForwardCached(benchmark::State& state) {
-  const Graph& graph = GraphForCase(static_cast<int>(state.range(0)));
-  GraphContext context(graph, 36);
-  PolicyNetwork policy(BenchRlConfig());
-  policy.set_embedding_cache_enabled(true);
-  benchmark::DoNotOptimize(policy.PredictValue(context));  // Warm the cache.
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(policy.PredictValue(context));
-  }
-  state.counters["nodes"] = graph.NumNodes();
-}
-BENCHMARK(BM_GraphSageForwardCached)
-    ->DenseRange(0, 1)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(10);
 
 void BM_SampleRollout(benchmark::State& state) {
   const Graph& graph = GraphForCase(static_cast<int>(state.range(0)));

@@ -1,15 +1,11 @@
 #include "rl/policy.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstring>
 #include <numeric>
 
-#include "common/env.h"
 #include "common/logging.h"
 #include "graph/features.h"
-#include "telemetry/metrics.h"
 
 namespace mcm {
 namespace {
@@ -23,16 +19,11 @@ std::vector<int> MlpDims(int in_dim, int hidden_dim, int out_dim,
   return dims;
 }
 
-std::uint64_t NextGraphContextUid() {
-  static std::atomic<std::uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
 }  // namespace
 
 GraphContext::GraphContext(const Graph& graph, int num_chips,
                            CpSolver::Options solver_options)
     : graph_(&graph),
-      uid_(NextGraphContextUid()),
       neighbors_(BuildNeighborLists(graph)),
       solver_(graph, num_chips, solver_options) {
   const std::vector<float> raw = ExtractNodeFeatures(graph);
@@ -52,77 +43,7 @@ PolicyNetwork::PolicyNetwork(const RlConfig& config)
                    init_rng_),
       value_head_("value",
                   MlpDims(config.hidden_dim, config.hidden_dim, 1, 2),
-                  init_rng_) {
-  embed_cache_enabled_ = GetEnvInt("MCMPART_EMBED_CACHE", 1, 0, 1) != 0;
-}
-
-void PolicyNetwork::set_embedding_cache_enabled(bool enabled) {
-  std::lock_guard<std::mutex> lock(embed_mu_);
-  embed_cache_enabled_ = enabled;
-  embed_context_uid_ = 0;
-  embed_value_ = Matrix();
-}
-
-void PolicyNetwork::InvalidateEmbeddingCache() {
-  std::lock_guard<std::mutex> lock(embed_mu_);
-  embed_context_uid_ = 0;
-  embed_value_ = Matrix();
-}
-
-// Fingerprint of every feature-network parameter: shapes plus raw float bit
-// patterns.  Any mutation path -- optimizer steps, checkpoint restores,
-// direct writes through Params() -- changes the fingerprint, so cache
-// staleness cannot outlive one parameter edit.  Cost is one pass over the
-// feature-net weights, orders of magnitude cheaper than the GraphSAGE
-// forward it guards.
-std::uint64_t PolicyNetwork::FeatureParamsFingerprint() {
-  std::uint64_t hash = 0x9e3779b97f4a7c15ull;
-  for (const Param* param : feature_net_.Params()) {
-    hash = HashCombine(hash, static_cast<std::uint64_t>(param->value.rows));
-    hash = HashCombine(hash, static_cast<std::uint64_t>(param->value.cols));
-    for (const float x : param->value.data) {
-      std::uint32_t bits;
-      std::memcpy(&bits, &x, sizeof(bits));
-      hash = HashCombine(hash, bits);
-    }
-  }
-  return hash;
-}
-
-Matrix PolicyNetwork::CachedEmbedding(GraphContext& context) {
-  static telemetry::Counter& hits =
-      telemetry::Counter::Get("rl/embed_cache_hits");
-  static telemetry::Counter& misses =
-      telemetry::Counter::Get("rl/embed_cache_misses");
-  const std::uint64_t fingerprint = FeatureParamsFingerprint();
-  {
-    std::lock_guard<std::mutex> lock(embed_mu_);
-    if (embed_context_uid_ == context.uid() &&
-        embed_fingerprint_ == fingerprint && embed_value_.rows > 0) {
-      hits.Add();
-      return embed_value_;
-    }
-  }
-  // Miss: recompute OUTSIDE the lock so concurrent rollouts are never
-  // serialized behind one GraphSAGE forward.  Racing misses duplicate work,
-  // but the recompute is a pure function of (params, context) and the tape
-  // ops are bit-deterministic, so every racer computes identical bits and
-  // last-writer-wins installs the same value.
-  misses.Add();
-  Tape tape;
-  Matrix fresh = tape.value(EmbedGraph(tape, context));
-  std::lock_guard<std::mutex> lock(embed_mu_);
-  embed_value_ = std::move(fresh);
-  embed_context_uid_ = context.uid();
-  embed_fingerprint_ = fingerprint;
-  return embed_value_;
-}
-
-VarId PolicyNetwork::EmbedGraphForInference(Tape& tape,
-                                            GraphContext& context) {
-  if (!embed_cache_enabled_) return EmbedGraph(tape, context);
-  return tape.Constant(CachedEmbedding(context));
-}
+                  init_rng_) {}
 
 ParamRefs PolicyNetwork::Params() {
   ParamRefs refs = feature_net_.Params();
@@ -163,18 +84,20 @@ VarId PolicyNetwork::ValueHead(Tape& tape, VarId embeddings) {
   return value_head_.Forward(tape, tape.MeanRowsOp(embeddings));
 }
 
-Rollout PolicyNetwork::SampleRollout(GraphContext& context, Rng& rng) {
-  return Decode(context, &rng);
-}
-
-Rollout PolicyNetwork::GreedyRollout(GraphContext& context) {
-  return Decode(context, nullptr);
-}
-
-Rollout PolicyNetwork::Decode(GraphContext& context, Rng* rng) {
+Matrix PolicyNetwork::Embed(GraphContext& context) {
   Tape tape;
-  const VarId h = EmbedGraphForInference(tape, context);
-  const HeadInput head = RecordHeadInput(tape, h);
+  return tape.value(EmbedGraph(tape, context));
+}
+
+Rollout PolicyNetwork::SampleRollout(GraphContext& context, Rng& rng) {
+  return SampleRollout(context, Embed(context), rng);
+}
+
+Rollout PolicyNetwork::SampleRollout(GraphContext& context, const Matrix& h,
+                                     Rng& rng) {
+  Tape tape;
+  const VarId embeddings = tape.Constant(h);
+  const HeadInput head = RecordHeadInput(tape, embeddings);
   const int n = context.num_nodes();
   const int c = config_.num_chips;
 
@@ -188,14 +111,9 @@ Rollout PolicyNetwork::Decode(GraphContext& context, Rng* rng) {
     std::vector<int> actions(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
       const auto row = probs.row(i);
-      if (rng != nullptr) {
-        std::copy(row.begin(), row.end(), weights.begin());
-        actions[static_cast<std::size_t>(i)] =
-            static_cast<int>(rng->SampleDiscrete(weights));
-      } else {
-        actions[static_cast<std::size_t>(i)] = static_cast<int>(
-            std::max_element(row.begin(), row.end()) - row.begin());
-      }
+      std::copy(row.begin(), row.end(), weights.begin());
+      actions[static_cast<std::size_t>(i)] =
+          static_cast<int>(rng.SampleDiscrete(weights));
     }
     rollout.old_logp.push_back(
         Tape::RowLogProbs(tape.value(logits), actions));
@@ -205,10 +123,9 @@ Rollout PolicyNetwork::Decode(GraphContext& context, Rng* rng) {
   rollout.probs.num_nodes = n;
   rollout.probs.num_chips = c;
   rollout.probs.data.assign(probs.data.begin(), probs.data.end());
-  // Epsilon-mix with uniform when sampling: the behavior distribution the
-  // solver samples from (and whose log-probs are recorded when retargeting
-  // at y').
-  const double mix = rng != nullptr ? config_.exploration_mix : 0.0;
+  // Epsilon-mix with uniform: the behavior distribution the solver samples
+  // from (and whose log-probs are recorded when retargeting at y').
+  const double mix = config_.exploration_mix;
   if (mix > 0.0) {
     for (double& p : rollout.probs.data) {
       p = (1.0 - mix) * p + mix / c;
@@ -217,7 +134,7 @@ Rollout PolicyNetwork::Decode(GraphContext& context, Rng* rng) {
   rollout.candidate = Partition::Empty(n, c);
   rollout.candidate.assignment = rollout.actions.back();
   rollout.value_pred =
-      static_cast<double>(tape.value(ValueHead(tape, h)).at(0, 0));
+      static_cast<double>(tape.value(ValueHead(tape, embeddings)).at(0, 0));
   return rollout;
 }
 
@@ -259,12 +176,6 @@ VarId PolicyNetwork::BuildMinibatchLoss(
                 : tape.AddScaled(total, 1.0, sample_loss, inv_batch);
   }
   return total;
-}
-
-double PolicyNetwork::PredictValue(GraphContext& context) {
-  Tape tape;
-  const VarId h = EmbedGraphForInference(tape, context);
-  return static_cast<double>(tape.value(ValueHead(tape, h)).at(0, 0));
 }
 
 }  // namespace mcm

@@ -6,12 +6,13 @@
 //
 // Decoding follows Equation (7): an iterative, non-autoregressive process.
 // All N nodes are sampled in parallel each iteration; iteration t conditions
-// on the full action vector y^(t-1) through a one-hot action input, and the
-// process repeats T times (T << N).
+// on the full action vector y^(t-1), and the process repeats T times
+// (T << N).  The head's first layer takes [h | onehot(y^(t-1))]; it is
+// computed as h·W1 plus one gathered row of W1 per node, never as a one-hot
+// matrix.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "common/rng.h"
@@ -85,13 +86,9 @@ class GraphContext {
   const NeighborLists& neighbors() const { return neighbors_; }
   CpSolver& solver() { return solver_; }
   int num_nodes() const { return features_.rows; }
-  // Process-unique id; embedding caches key on it instead of the object
-  // address, which could be reused by a later context.
-  std::uint64_t uid() const { return uid_; }
 
  private:
   const Graph* graph_;
-  std::uint64_t uid_;
   Matrix features_;
   NeighborLists neighbors_;
   CpSolver solver_;
@@ -123,13 +120,18 @@ class PolicyNetwork {
   const RlConfig& config() const { return config_; }
   ParamRefs Params();
 
-  // Runs the full T-iteration decode, sampling actions, and returns the
-  // rollout skeleton (candidate partition filled; reward left to the env).
-  Rollout SampleRollout(GraphContext& context, Rng& rng);
+  // The GraphSAGE embedding h_G [N x H] under the current parameters.  It
+  // depends only on the graph and the feature-net weights, so callers that
+  // decode many rollouts between parameter updates compute it once and pass
+  // it to SampleRollout (PpoTrainer embeds once per rollout batch).
+  Matrix Embed(GraphContext& context);
 
-  // Deterministic decode for zero-shot deployment: per iteration every node
-  // takes its argmax chip.  Returns candidate + final probabilities.
-  Rollout GreedyRollout(GraphContext& context);
+  // Runs the full T-iteration decode over `h` = Embed(context), sampling
+  // actions, and returns the rollout skeleton (candidate partition filled;
+  // reward left to the env).  `h` must come from the current parameters.
+  Rollout SampleRollout(GraphContext& context, const Matrix& h, Rng& rng);
+  // SampleRollout(context, Embed(context), rng).
+  Rollout SampleRollout(GraphContext& context, Rng& rng);
 
   // Recomputes, under the *current* parameters, the total PPO surrogate +
   // entropy loss of a rollout (summed over decode iterations) and the value
@@ -141,37 +143,9 @@ class PolicyNetwork {
   VarId BuildMinibatchLoss(Tape& tape, GraphContext& context,
                            std::span<const Rollout* const> rollouts);
 
-  // Value prediction for a graph under current parameters (no grad).
-  double PredictValue(GraphContext& context);
-
-  // ---- Static-embedding reuse ----
-  //
-  // The GraphSAGE embedding depends only on the graph's (immutable) node
-  // features and the feature-network parameters, while the decode loop is
-  // re-run per rollout and per iteration.  Inference paths (SampleRollout /
-  // GreedyRollout / PredictValue) therefore reuse one cached embedding per
-  // (context, feature-net parameter fingerprint) pair; any parameter
-  // mutation -- Adam steps, checkpoint restores, manual edits -- changes the
-  // fingerprint and forces a recompute, so the cache can never go stale.
-  // Training passes (BuildMinibatchLoss) always re-record the feature
-  // network on the gradient tape and never consult the cache.  Because the
-  // kernels are deterministic, a cache hit is bit-identical to a fresh
-  // forward pass.  Default on; MCMPART_EMBED_CACHE=0 disables.
-  bool embedding_cache_enabled() const { return embed_cache_enabled_; }
-  void set_embedding_cache_enabled(bool enabled);
-  // Drops the cached embedding (next inference recomputes).  Parameter
-  // changes are detected automatically; this is for callers that mutate
-  // node features in place behind a live GraphContext.
-  void InvalidateEmbeddingCache();
-
  private:
   // Records the feature network on the tape, returning per-node embeddings.
   VarId EmbedGraph(Tape& tape, GraphContext& context);
-  // Embedding for no-grad paths: returns the cached embedding as a tape
-  // constant when valid, recomputing (and caching) otherwise.
-  VarId EmbedGraphForInference(Tape& tape, GraphContext& context);
-  Matrix CachedEmbedding(GraphContext& context);
-  std::uint64_t FeatureParamsFingerprint();
   // The Eq. (7) head, factored over the shared embedding h [N x H].  Its
   // first layer [h | onehot(prev)]·W1 + b1 equals h·W1[0, H) + b1 plus row
   // H + prev[i] of W1, so the first term is recorded once per tape and each
@@ -185,23 +159,12 @@ class PolicyNetwork {
   VarId HeadLogits(Tape& tape, const HeadInput& head,
                    const std::vector<int>* prev);
   VarId ValueHead(Tape& tape, VarId embeddings);
-  // The T-iteration decode: every node samples its chip from its row of P
-  // when `rng` is set, and takes the argmax otherwise.
-  Rollout Decode(GraphContext& context, Rng* rng);
 
   RlConfig config_;
   Rng init_rng_;
   GraphSageNetwork feature_net_;
   Mlp policy_head_;
   Mlp value_head_;
-
-  // Single-slot embedding cache.  Guarded by embed_mu_: rollout workers call
-  // SampleRollout concurrently on a shared policy.
-  bool embed_cache_enabled_ = true;
-  std::mutex embed_mu_;
-  std::uint64_t embed_context_uid_ = 0;  // 0 = empty (uids start at 1).
-  std::uint64_t embed_fingerprint_ = 0;
-  Matrix embed_value_;
 };
 
 }  // namespace mcm

@@ -31,6 +31,9 @@ std::vector<Rollout> PpoTrainer::CollectRollouts(GraphContext& context,
   // any thread count; each rollout derives a private substream from it
   // (the runtime's determinism contract, runtime/thread_pool.h).
   const std::uint64_t base_seed = rng_.Next();
+  // h_G depends only on the graph and the parameters, which no rollout
+  // changes: embed once and decode every rollout from the same matrix.
+  const Matrix h = policy_.Embed(context);
 
   std::vector<Rollout> rollouts(static_cast<std::size_t>(count));
   std::vector<EvalResult> evals(static_cast<std::size_t>(count));
@@ -38,10 +41,12 @@ std::vector<Rollout> PpoTrainer::CollectRollouts(GraphContext& context,
   ParallelFor(0, count, [&](std::int64_t k) {
     Rng task_rng(HashCombine(base_seed, static_cast<std::uint64_t>(k)));
     Rollout& rollout = rollouts[static_cast<std::size_t>(k)];
-    rollout = policy_.SampleRollout(context, task_rng);
-    // CpSolver is stateful: each task repairs with a private instance so
-    // the context's shared solver is never touched concurrently.
-    CpSolver solver(context.graph(), context.solver().num_chips());
+    rollout = policy_.SampleRollout(context, h, task_rng);
+    // CpSolver is stateful: each task repairs with a private instance (with
+    // the context solver's options, so a request's propagation budget
+    // holds) and the context's shared solver is never touched concurrently.
+    CpSolver solver(context.graph(), context.solver().num_chips(),
+                    context.solver().options());
     CorrectRollout(context, solver, mode, rollout, task_rng);
     if (rollout.solver_success) {
       scores[static_cast<std::size_t>(k)] = env.Score(

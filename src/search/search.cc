@@ -50,9 +50,10 @@ SearchTrace RandomSearch::Run(GraphContext& context, PartitionEnv& env,
   const ProbMatrix uniform = ProbMatrix::Uniform(
       context.num_nodes(), context.solver().num_chips());
   // Candidates are independent draws: batch-solve and batch-evaluate them in
-  // parallel (per-sample RNG substream + private solver per task), then
-  // commit to the environment serially in sample order so the incumbent and
-  // the trace are bit-identical for any thread count.
+  // parallel (per-sample RNG substream + private solver per task, built with
+  // the context solver's options), then commit to the environment serially
+  // in sample order so the incumbent and the trace are bit-identical for any
+  // thread count.
   const std::uint64_t base_seed = rng_.Next();
   std::vector<Partition> partitions(static_cast<std::size_t>(budget));
   std::vector<char> success(static_cast<std::size_t>(budget), 0);
@@ -60,7 +61,8 @@ SearchTrace RandomSearch::Run(GraphContext& context, PartitionEnv& env,
   std::vector<double> scores(static_cast<std::size_t>(budget), 0.0);
   ParallelFor(0, budget, [&](std::int64_t k) {
     Rng task_rng(HashCombine(base_seed, static_cast<std::uint64_t>(k)));
-    CpSolver solver(context.graph(), context.solver().num_chips());
+    CpSolver solver(context.graph(), context.solver().num_chips(),
+                    context.solver().options());
     SolveResult solved =
         SolveSampleWithRestarts(solver, context.graph(), uniform, task_rng);
     if (!solved.success) return;

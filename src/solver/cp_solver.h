@@ -84,6 +84,7 @@ class CpSolver {
 
   int num_nodes() const { return static_cast<int>(domains_.size()); }
   int num_chips() const { return num_chips_; }
+  const Options& options() const { return options_; }
   const Stats& stats() const { return stats_; }
 
   // The paper's get_domain: current valid chips for `node`.

@@ -270,8 +270,6 @@ void RegisterStandardMetrics() {
       "pipeline/state_loads",
       "pipeline/state_saves",
       "pipeline/validate_cells",
-      "rl/embed_cache_hits",
-      "rl/embed_cache_misses",
       "rl/episodes",
       "rl/invalid_episodes",
       "rl/minibatches",

@@ -9,7 +9,6 @@
 #include "rl/env.h"
 #include "rl/policy.h"
 #include "rl/ppo.h"
-#include "telemetry/metrics.h"
 
 namespace mcm {
 namespace {
@@ -55,22 +54,53 @@ TEST(PolicyTest, SampleRolloutShapes) {
   EXPECT_TRUE(rollout.candidate.Complete());
 }
 
-TEST(PolicyTest, GreedyRolloutIsDeterministic) {
+// Every decoded field of two rollouts matches bit for bit.
+void ExpectSameRollout(const Rollout& a, const Rollout& b) {
+  EXPECT_EQ(a.actions, b.actions);
+  EXPECT_EQ(a.old_logp, b.old_logp);
+  EXPECT_EQ(a.probs.data, b.probs.data);
+  EXPECT_EQ(a.value_pred, b.value_pred);
+  EXPECT_EQ(a.candidate, b.candidate);
+}
+
+TEST(PolicyTest, SampleRolloutIsDeterministicPerSeed) {
   const Graph g = MakeMlp("m", 64, {64, 64}, 10);
   GraphContext context(g, 36);
   PolicyNetwork policy(TinyConfig());
-  const Rollout a = policy.GreedyRollout(context);
-  const Rollout b = policy.GreedyRollout(context);
-  EXPECT_EQ(a.candidate, b.candidate);
+  Rng r1(4), r2(4);
+  ExpectSameRollout(policy.SampleRollout(context, r1),
+                    policy.SampleRollout(context, r2));
 }
 
 TEST(PolicyTest, SameSeedSamePolicy) {
   const Graph g = MakeMlp("m", 64, {64}, 10);
   GraphContext context(g, 36);
   PolicyNetwork p1(TinyConfig()), p2(TinyConfig());
-  const Rollout a = p1.GreedyRollout(context);
-  const Rollout b = p2.GreedyRollout(context);
-  EXPECT_EQ(a.candidate, b.candidate);
+  Rng r1(4), r2(4);
+  ExpectSameRollout(p1.SampleRollout(context, r1),
+                    p2.SampleRollout(context, r2));
+}
+
+// PpoTrainer embeds once per batch and decodes from that matrix; the result
+// must equal the one-argument form, which embeds afresh.  Checked again
+// after a parameter change, where a stale embedding would decode
+// differently.
+TEST(PolicyTest, PrecomputedEmbeddingMatchesOneArgumentSampleRollout) {
+  const Graph g = MakeMlp("m", 64, {64, 64}, 10);
+  GraphContext context(g, 36);
+  PolicyNetwork policy(TinyConfig());
+  Rng r1(8), r2(8);
+  const Matrix h = policy.Embed(context);
+  ExpectSameRollout(policy.SampleRollout(context, h, r1),
+                    policy.SampleRollout(context, r2));
+
+  for (Param* param : policy.Params()) {
+    for (float& v : param->value.data) v += 0.25f;
+  }
+  const Matrix perturbed = policy.Embed(context);
+  EXPECT_NE(perturbed.data, h.data);
+  ExpectSameRollout(policy.SampleRollout(context, perturbed, r1),
+                    policy.SampleRollout(context, r2));
 }
 
 TEST(PolicyTest, LossIsFiniteAndBackpropagates) {
@@ -288,75 +318,6 @@ TEST(EnvTest, NoSolverModeScoresRawCandidate) {
   // An untrained policy's candidate is essentially always invalid.
   if (ValidateStatic(g, rollout.candidate) != Violation::kNone) {
     EXPECT_EQ(rollout.reward, 0.0);
-  }
-}
-
-TEST(PolicyTest, EmbeddingCacheIsInvisibleAndInvalidatesOnParamChange) {
-  const Graph g = MakeMlp("m", 64, {64, 64}, 10);
-  GraphContext context(g, 36);
-  PolicyNetwork cached(TinyConfig()), fresh(TinyConfig());
-  cached.set_embedding_cache_enabled(true);
-  fresh.set_embedding_cache_enabled(false);
-
-  auto& hits = telemetry::Counter::Get("rl/embed_cache_hits");
-  auto& misses = telemetry::Counter::Get("rl/embed_cache_misses");
-  const std::int64_t hits0 = hits.Value();
-  const std::int64_t misses0 = misses.Value();
-
-  // First use fills the cache (a miss); repeats are hits and bit-identical
-  // to the uncached policy.
-  EXPECT_EQ(cached.PredictValue(context), fresh.PredictValue(context));
-  EXPECT_EQ(misses.Value(), misses0 + 1);
-  EXPECT_EQ(cached.PredictValue(context), fresh.PredictValue(context));
-  EXPECT_EQ(cached.GreedyRollout(context).candidate,
-            fresh.GreedyRollout(context).candidate);
-  EXPECT_GE(hits.Value(), hits0 + 2);
-
-  // Mutating parameters changes the fingerprint: the stale embedding must
-  // not be reused (this is the RestoreParams / optimizer-step path).
-  auto perturb = [](PolicyNetwork& p) {
-    for (Param* param : p.Params()) {
-      for (float& v : param->value.data) v += 0.25f;
-    }
-  };
-  perturb(cached);
-  perturb(fresh);
-  const std::int64_t misses_before = misses.Value();
-  EXPECT_EQ(cached.PredictValue(context), fresh.PredictValue(context));
-  EXPECT_EQ(misses.Value(), misses_before + 1);
-
-  // Explicit invalidation also forces a recompute.
-  cached.InvalidateEmbeddingCache();
-  EXPECT_EQ(cached.PredictValue(context), fresh.PredictValue(context));
-  EXPECT_EQ(misses.Value(), misses_before + 2);
-}
-
-TEST(PpoTest, CachingDoesNotChangeTrainingResults) {
-  // Embedding reuse must be invisible to training: same rewards and
-  // bit-identical parameters after several PPO iterations.
-  const std::vector<Graph> corpus = MakeCorpus();
-  const Graph& g = corpus[12];
-  AnalyticalCostModel model{McmConfig{}};
-  GraphContext c1(g, 36), c2(g, 36);
-  Rng rng(21);
-  const BaselineResult baseline =
-      ComputeHeuristicBaseline(g, model, c1.solver(), rng);
-  PartitionEnv env1(g, model, baseline.eval.runtime_s);
-  PartitionEnv env2(g, model, baseline.eval.runtime_s);
-  PolicyNetwork p1(TinyConfig()), p2(TinyConfig());
-  p1.set_embedding_cache_enabled(true);
-  p2.set_embedding_cache_enabled(false);
-  PpoTrainer t1(p1, Rng(22)), t2(p2, Rng(22));
-  for (int it = 0; it < 3; ++it) {
-    const auto r1 = t1.Iterate(c1, env1);
-    const auto r2 = t2.Iterate(c2, env2);
-    EXPECT_EQ(r1.rewards, r2.rewards);
-  }
-  const std::vector<Matrix> s1 = SnapshotParams(p1.Params());
-  const std::vector<Matrix> s2 = SnapshotParams(p2.Params());
-  ASSERT_EQ(s1.size(), s2.size());
-  for (std::size_t i = 0; i < s1.size(); ++i) {
-    EXPECT_EQ(s1[i].data, s2[i].data);
   }
 }
 

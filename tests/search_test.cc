@@ -9,6 +9,7 @@
 #include "runtime/thread_pool.h"
 #include "search/search.h"
 #include "solver/modes.h"
+#include "telemetry/metrics.h"
 
 namespace mcm {
 namespace {
@@ -66,6 +67,35 @@ TEST(RandomSearchTest, DeterministicPerSeed) {
   const SearchTrace t1 = s1.Run(f1.context, f1.env, 10);
   const SearchTrace t2 = s2.Run(f2.context, f2.env, 10);
   EXPECT_EQ(t1.rewards, t2.rewards);
+}
+
+// A request deadline reaches the solver as a propagation budget on the
+// context's solver.  RandomSearch and PPO collection repair on private
+// per-task solvers, which must carry the same budget: with one no BERT
+// solve can meet, every one of their solves degrades.
+TEST(DeadlineBudgetTest, PrivateSolversKeepTheContextBudget) {
+  const Graph bert = MakeBert();
+  CpSolver::Options options;
+  options.propagation_budget = 1;
+  GraphContext context(bert, 36, options);
+  AnalyticalCostModel model{McmConfig{}};
+  PartitionEnv env(bert, model, /*baseline_runtime_s=*/1e-3);
+  telemetry::Counter& degraded =
+      telemetry::Counter::Get("solver/degraded_solves");
+
+  std::int64_t before = degraded.Value();
+  RandomSearch random{Rng(3)};
+  random.Run(context, env, 4);
+  EXPECT_EQ(degraded.Value() - before, 4);
+
+  before = degraded.Value();
+  RlConfig config = RlConfig::Quick();
+  config.hidden_dim = 16;
+  config.gnn_layers = 2;
+  PolicyNetwork policy(config);
+  PpoTrainer trainer(policy, Rng(4));
+  trainer.EvaluateOnly(context, env, 4);
+  EXPECT_EQ(degraded.Value() - before, 4);
 }
 
 TEST(SimulatedAnnealingTest, RunsAndImprovesOverFirstSample) {
