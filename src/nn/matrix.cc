@@ -18,8 +18,8 @@ namespace {
 // and parallel work is split into fixed-size panels/slabs.  Every output
 // element is therefore produced by exactly one task with a fixed summation
 // order, which keeps results bit-identical run-to-run and for any worker-pool
-// size (including 1).  No fast-math anywhere: float sums are never
-// reassociated behind our back, only by the explicit lane structure below.
+// size (including 1).  No fast-math anywhere: every kernel sums each output
+// element in k-ascending order, as the reference kernels do.
 
 // Register micro-tile, sized for the widest vector ISA this translation
 // unit is compiled for (CMake builds it with -march=native when the host
@@ -34,17 +34,14 @@ namespace {
 #if defined(__AVX512F__)
 constexpr int kMicroRows = 6;
 constexpr int kMicroCols = 32;
-constexpr int kDotLanes = 32;
 #elif defined(__AVX2__) && defined(__FMA__)
 constexpr int kMicroRows = 6;
 constexpr int kMicroCols = 16;
-constexpr int kDotLanes = 16;
 #else
 constexpr int kMicroRows = 4;
 constexpr int kMicroCols = 8;
-constexpr int kDotLanes = 8;
 #endif
-// Rows of `out` per parallel task (MatMul / MatMulTransB row split).
+// Rows of `out` per parallel task (MatMul row split; MatMulTransB reuses it).
 constexpr int kPanelRows = 64;
 // Reduction rows per parallel slab (MatMulTransA k split); partial sums are
 // combined serially in slab order.
@@ -80,11 +77,12 @@ inline void StoreTile(const float acc[kMicroRows][kMicroCols], float* c,
 
 // ---- MatMul: out[i,j] = sum_k a[i,k] * b[k,j] -------------------------------
 
-// One rows x cols tile (rows <= 4, cols <= 8) of a*b, streaming k with the
-// accumulators in registers.  Per-element summation order is k-ascending,
-// identical to the reference kernel.  `a` points at (i0, 0), `b` at (0, j0),
-// `c` at (i0, j0).  When kFullTile is set the loop bounds are compile-time
-// 4x8 so the compiler fully unrolls and vectorizes.
+// One rows x cols tile (rows <= kMicroRows, cols <= kMicroCols) of a*b,
+// streaming k with the accumulators in registers.  Per-element summation
+// order is k-ascending, identical to the reference kernel.  `a` points at
+// (i0, 0), `b` at (0, j0), `c` at (i0, j0).  When kFullTile is set the loop
+// bounds are the compile-time micro-tile so the compiler fully unrolls and
+// vectorizes.
 template <bool kFullTile>
 void MatMulTile(const float* a, std::size_t lda, const float* b,
                 std::size_t ldb, float* c, std::size_t ldc, int kk, int rows,
@@ -177,43 +175,6 @@ void MatMulTransAPanel(const Matrix& a, const Matrix& b, float* c,
   }
 }
 
-// ---- MatMulTransB: out[i,j] = dot(a.row(i), b.row(j)) -----------------------
-
-// Multi-lane partial-sum dot product with a fixed pairwise combine order.
-// The lane structure is the explicit reassociation the compiler is not
-// allowed to do itself for float (no fast-math), and it is identical for
-// every shape and thread count, so results are deterministic per build.
-inline float DotLanes(const float* x, const float* y, int n) {
-  float acc[kDotLanes] = {};
-  int k = 0;
-  for (; k + kDotLanes <= n; k += kDotLanes) {
-    for (int l = 0; l < kDotLanes; ++l) acc[l] += x[k + l] * y[k + l];
-  }
-  float tail = 0.0f;
-  for (; k < n; ++k) tail += x[k] * y[k];
-  for (int width = kDotLanes / 2; width > 0; width /= 2) {
-    for (int l = 0; l < width; ++l) acc[l] += acc[l + width];
-  }
-  return acc[0] + tail;
-}
-
-void MatMulTransBPanel(const Matrix& a, const Matrix& b, Matrix& out,
-                       bool accumulate, int row_begin, int row_end) {
-  const int kk = a.cols;
-  const int n = b.rows;
-  for (int i = row_begin; i < row_end; ++i) {
-    const float* arow =
-        a.data.data() + static_cast<std::size_t>(i) * a.cols;
-    float* orow = out.data.data() + static_cast<std::size_t>(i) * out.cols;
-    for (int j = 0; j < n; ++j) {
-      const float* brow =
-          b.data.data() + static_cast<std::size_t>(j) * b.cols;
-      const float v = DotLanes(arow, brow, kk);
-      orow[j] = accumulate ? orow[j] + v : v;
-    }
-  }
-}
-
 // Splits [0, rows) into fixed kPanelRows-row panels executed on the default
 // pool.  Panel boundaries depend only on `rows`.
 template <typename PanelFn>
@@ -290,21 +251,18 @@ void MatMulTransA(const Matrix& a, const Matrix& b, Matrix& out,
   }
 }
 
-// MCM_CONTRACT(deterministic): fixed shape-only row panels, as MatMul.
+// MCM_CONTRACT(deterministic): b is transposed once, then the product runs on
+// MatMul's fixed shape-only row panels and tiles.
 void MatMulTransB(const Matrix& a, const Matrix& b, Matrix& out,
                   bool accumulate) {
   MCM_CHECK_EQ(a.cols, b.cols);
-  const bool fresh = !accumulate || out.rows != a.rows || out.cols != b.rows;
-  if (fresh) EnsureShape(out, a.rows, b.rows);
-  const bool acc = accumulate && !fresh;
-  if (FlopCount(a.rows, b.rows, a.cols) >= kParallelMinFlops &&
-      a.rows > kPanelRows) {
-    ParallelOverRowPanels(a.rows, [&](int begin, int end) {
-      MatMulTransBPanel(a, b, out, acc, begin, end);
-    });
-  } else {
-    MatMulTransBPanel(a, b, out, acc, 0, a.rows);
+  Matrix bt = ScratchArena::AcquireUninit(b.cols, b.rows);
+  for (int j = 0; j < b.rows; ++j) {
+    const auto brow = b.row(j);
+    for (int k = 0; k < b.cols; ++k) bt.at(k, j) = brow[k];
   }
+  MatMul(a, bt, out, accumulate);
+  ScratchArena::Release(std::move(bt));
 }
 
 }  // namespace mcm

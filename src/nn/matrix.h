@@ -1,14 +1,14 @@
 // Dense row-major float matrix and the handful of kernels the GNN needs.
 //
-// The three GEMM variants are cache-blocked, register-tiled kernels written
+// MatMul and MatMulTransA are cache-blocked, register-tiled kernels written
 // so the compiler's auto-vectorizer can keep the accumulators in vector
-// registers -- no BLAS dependency and no fast-math.  Large shapes run on the
-// default pool (ParallelFor, sized by --threads) with blocking that is fixed
-// and shape-only (never a function of the thread count), so results are
-// bit-identical run-to-run and across worker-pool sizes.  These GEMMs are the
-// only NN kernels that fan out; every tape op and Adam runs serially.  The
-// naive reference kernels are retained (`*Reference`) for tests and
-// microbenchmarks.
+// registers -- no BLAS dependency and no fast-math; MatMulTransB is MatMul on
+// a transposed copy of b.  Large shapes run on the default pool (ParallelFor,
+// sized by --threads) with blocking that is fixed and shape-only (never a
+// function of the thread count), so results are bit-identical run-to-run and
+// across worker-pool sizes.  These GEMMs are the only NN kernels that fan
+// out; every tape op and Adam runs serially.  The naive reference kernels
+// are retained (`*Reference`) for tests and microbenchmarks.
 #pragma once
 
 #include <cstddef>
@@ -56,7 +56,8 @@ void MatMul(const Matrix& a, const Matrix& b, Matrix& out,
 void MatMulTransA(const Matrix& a, const Matrix& b, Matrix& out,
                   bool accumulate = false);
 
-// out = a * b^T.  Shapes: [m x k] * [n x k]^T -> [m x n].
+// out = a * b^T.  Shapes: [m x k] * [n x k]^T -> [m x n].  Runs MatMul on a
+// transposed copy of b, so it is bit-identical to MatMul(a, transpose(b)).
 void MatMulTransB(const Matrix& a, const Matrix& b, Matrix& out,
                   bool accumulate = false);
 

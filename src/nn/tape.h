@@ -13,6 +13,7 @@
 #include <span>
 #include <vector>
 
+#include "common/rng.h"
 #include "nn/matrix.h"
 
 namespace mcm {
@@ -114,13 +115,17 @@ class Tape {
   // Parameter leaves accumulate into their external grad matrices.
   void Backward(VarId loss);
 
-  // Per-row log-softmax of a recorded value (no gradient); used to snapshot
-  // behavior-policy log-probs when sampling rollouts.
-  static std::vector<float> RowLogProbs(const Matrix& logits,
-                                        std::span<const int> actions);
-  // Row-wise softmax (no gradient), for turning logits into the probability
-  // matrix P handed to the constraint solver.
-  static Matrix RowSoftmax(const Matrix& logits);
+  // One rollout decode step (no gradient): the row-wise softmax of `logits`,
+  // one action per row sampled from it in row order, and each chosen
+  // action's log-prob, all from a single log-softmax per row.  `probs` is the
+  // matrix P handed to the constraint solver; `logp` is the behavior-policy
+  // snapshot the PPO ratio divides by.
+  struct SampledRows {
+    Matrix probs;
+    std::vector<int> actions;
+    std::vector<float> logp;
+  };
+  static SampledRows SampleRowSoftmax(const Matrix& logits, Rng& rng);
 
   std::size_t size() const { return nodes_.size(); }
 

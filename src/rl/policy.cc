@@ -103,21 +103,13 @@ Rollout PolicyNetwork::SampleRollout(GraphContext& context, const Matrix& h,
 
   Rollout rollout;
   Matrix probs;
-  std::vector<double> weights(static_cast<std::size_t>(c));
   for (int t = 0; t < config_.decode_iterations; ++t) {
     const VarId logits =
         HeadLogits(tape, head, t == 0 ? nullptr : &rollout.actions.back());
-    probs = Tape::RowSoftmax(tape.value(logits));
-    std::vector<int> actions(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      const auto row = probs.row(i);
-      std::copy(row.begin(), row.end(), weights.begin());
-      actions[static_cast<std::size_t>(i)] =
-          static_cast<int>(rng.SampleDiscrete(weights));
-    }
-    rollout.old_logp.push_back(
-        Tape::RowLogProbs(tape.value(logits), actions));
-    rollout.actions.push_back(std::move(actions));
+    Tape::SampledRows step = Tape::SampleRowSoftmax(tape.value(logits), rng);
+    probs = std::move(step.probs);
+    rollout.old_logp.push_back(std::move(step.logp));
+    rollout.actions.push_back(std::move(step.actions));
   }
 
   rollout.probs.num_nodes = n;

@@ -1,5 +1,6 @@
 // Tests for the matrix kernels, the autodiff tape (including finite-
 // difference gradient checks for every op), modules, Adam, and checkpoints.
+#include <array>
 #include <cmath>
 #include <functional>
 #include <sstream>
@@ -147,6 +148,47 @@ TEST(MatrixKernelTest, MatMulTransAMatchesReferenceAcrossShapes) {
 TEST(MatrixKernelTest, MatMulTransBMatchesReferenceAcrossShapes) {
   CheckKernelAgainstReference(MatMulTransB, MatMulTransBReference, false,
                               true);
+}
+
+Matrix Transpose(const Matrix& m) {
+  Matrix t(m.cols, m.rows);
+  for (int i = 0; i < m.rows; ++i) {
+    for (int j = 0; j < m.cols; ++j) t.at(j, i) = m.at(i, j);
+  }
+  return t;
+}
+
+// MatMulTransB is MatMul on a transposed copy of b, so it must reproduce
+// MatMul's bits exactly: every edge tile, both accumulate modes, and the
+// parallel row-panel path (512 rows crosses the 2^22-flop cutover).
+TEST(MatrixKernelTest, MatMulTransBBitEqualsMatMulOnTransposedOperand) {
+  const int dims[] = {1, 2, 3, 5, 7, 8, 13, 31, 33, 65};
+  std::vector<std::array<int, 3>> shapes;
+  for (int m : dims) {
+    for (int k : dims) {
+      for (int n : dims) shapes.push_back({m, k, n});
+    }
+  }
+  shapes.push_back({512, 96, 80});
+  Rng rng(78);
+  for (const auto& [m, k, n] : shapes) {
+    SCOPED_TRACE("shape m=" + std::to_string(m) + " k=" + std::to_string(k) +
+                 " n=" + std::to_string(n));
+    const Matrix a = RandomMatrix(m, k, rng);
+    const Matrix b = RandomMatrix(n, k, rng);
+    const Matrix bt = Transpose(b);
+    Matrix got, want;
+    MatMulTransB(a, b, got);
+    MatMul(a, bt, want);
+    ASSERT_EQ(got.rows, m);
+    ASSERT_EQ(got.cols, n);
+    ASSERT_EQ(got.data, want.data);
+    Matrix got_acc = RandomMatrix(m, n, rng);
+    Matrix want_acc = got_acc;
+    MatMulTransB(a, b, got_acc, /*accumulate=*/true);
+    MatMul(a, bt, want_acc, /*accumulate=*/true);
+    ASSERT_EQ(got_acc.data, want_acc.data);
+  }
 }
 
 // The parallel split is a pure function of shape, so results must be
@@ -364,6 +406,87 @@ TEST(TapeGradientTest, PpoLoss) {
   }, 2e-2, /*seed=*/123);
 }
 
+// PpoLossOp's gradient as its backward used to compute it: recompute the
+// row log-softmax, then the ratio, the entropy and exp(log p) per logit.
+Matrix RecomputedPpoGradient(const Matrix& z, const std::vector<int>& actions,
+                             double advantage,
+                             const std::vector<float>& old_logp,
+                             double clip_epsilon, double entropy_coef,
+                             int* clip_active_rows) {
+  const int n = z.rows;
+  const int c = z.cols;
+  Matrix logp(n, c);
+  for (int i = 0; i < n; ++i) {
+    const auto row = z.row(i);
+    float max_z = row[0];
+    for (float v : row) max_z = std::max(max_z, v);
+    double sum = 0.0;
+    for (float v : row) sum += std::exp(static_cast<double>(v - max_z));
+    const auto lse = static_cast<float>(max_z + std::log(sum));
+    for (int j = 0; j < c; ++j) logp.at(i, j) = row[j] - lse;
+  }
+  Matrix dz(n, c);
+  *clip_active_rows = 0;
+  const float scale = 1.0f / static_cast<float>(n);
+  for (int i = 0; i < n; ++i) {
+    const auto lp = logp.row(i);
+    const int action = actions[static_cast<std::size_t>(i)];
+    const double r = std::exp(static_cast<double>(
+        lp[action] - old_logp[static_cast<std::size_t>(i)]));
+    const bool clip_active = (advantage > 0.0 && r > 1.0 + clip_epsilon) ||
+                             (advantage < 0.0 && r < 1.0 - clip_epsilon);
+    *clip_active_rows += clip_active ? 1 : 0;
+    const double ratio_grad = clip_active ? 0.0 : advantage * r;
+    double entropy = 0.0;
+    for (int j = 0; j < c; ++j) {
+      entropy -= std::exp(static_cast<double>(lp[j])) * lp[j];
+    }
+    for (int j = 0; j < c; ++j) {
+      const double p = std::exp(static_cast<double>(lp[j]));
+      double g = -ratio_grad * ((j == action ? 1.0 : 0.0) - p);
+      g += entropy_coef * p * (lp[j] + entropy);
+      dz.at(i, j) += scale * static_cast<float>(g);
+    }
+  }
+  return dz;
+}
+
+// The backward reuses the forward's per-row log-sum-exp, ratio gradient and
+// entropy; that must give exactly the recomputing backward's bits.
+TEST(TapeTest, PpoLossBackwardMatchesRecomputedGradientExactly) {
+  Rng rng(14);
+  Matrix z = RandomMatrix(8, 6, rng, 1.5);
+  const std::vector<int> actions = {0, 5, 2, 3, 1, 4, 2, 0};
+  // Ratios r_i = exp(log p_i(a_i) - old_logp_i) on both sides of both clip
+  // bounds (eps = 0.2).
+  const double ratios[] = {0.5, 0.85, 0.95, 1.05, 1.15, 1.5, 0.7, 1.3};
+  std::vector<float> old_logp(8);
+  for (int i = 0; i < 8; ++i) {
+    const auto row = z.row(i);
+    double sum = 0.0;
+    for (float v : row) sum += std::exp(static_cast<double>(v));
+    old_logp[static_cast<std::size_t>(i)] = static_cast<float>(
+        row[actions[static_cast<std::size_t>(i)]] - std::log(sum) -
+        std::log(ratios[i]));
+  }
+  for (const double advantage : {0.8, -0.6}) {
+    SCOPED_TRACE("advantage " + std::to_string(advantage));
+    Matrix grad(z.rows, z.cols);
+    Tape tape;
+    const VarId x = tape.Parameter(&z, &grad);
+    tape.Backward(tape.PpoLossOp(x, actions, advantage, old_logp,
+                                 /*clip_epsilon=*/0.2,
+                                 /*entropy_coef=*/0.05));
+    int clip_active_rows = 0;
+    const Matrix want =
+        RecomputedPpoGradient(z, actions, advantage, old_logp, 0.2, 0.05,
+                              &clip_active_rows);
+    EXPECT_GT(clip_active_rows, 0);
+    EXPECT_LT(clip_active_rows, z.rows);
+    EXPECT_EQ(grad.data, want.data);
+  }
+}
+
 TEST(TapeGradientTest, SquaredErrorAndAddScaled) {
   CheckGradients(1, 1, [&](Tape& tape, VarId x) {
     const VarId a = tape.SquaredErrorOp(x, 0.25);
@@ -399,7 +522,10 @@ TEST(TapeTest, BackwardAccumulatesIntoSharedParameter) {
 TEST(TapeTest, RowSoftmaxSumsToOne) {
   Rng rng(11);
   const Matrix logits = RandomMatrix(6, 8, rng, 2.0);
-  const Matrix probs = Tape::RowSoftmax(logits);
+  const Tape::SampledRows step = Tape::SampleRowSoftmax(logits, rng);
+  const Matrix& probs = step.probs;
+  ASSERT_EQ(probs.rows, 6);
+  ASSERT_EQ(probs.cols, 8);
   for (int i = 0; i < probs.rows; ++i) {
     double sum = 0.0;
     for (int j = 0; j < probs.cols; ++j) {
@@ -413,12 +539,20 @@ TEST(TapeTest, RowSoftmaxSumsToOne) {
 TEST(TapeTest, RowLogProbsMatchesSoftmax) {
   Rng rng(12);
   const Matrix logits = RandomMatrix(5, 7, rng, 1.5);
-  const Matrix probs = Tape::RowSoftmax(logits);
-  const std::vector<int> actions = {0, 3, 6, 2, 4};
-  const std::vector<float> logp = Tape::RowLogProbs(logits, actions);
+  Rng sample_rng(13), replay_rng(13);
+  const Tape::SampledRows step = Tape::SampleRowSoftmax(logits, sample_rng);
+  ASSERT_EQ(step.actions.size(), 5u);
+  ASSERT_EQ(step.logp.size(), 5u);
+  std::vector<double> weights(7);
   for (int i = 0; i < 5; ++i) {
-    EXPECT_NEAR(std::exp(logp[static_cast<std::size_t>(i)]),
-                probs.at(i, actions[static_cast<std::size_t>(i)]), 1e-4);
+    // Each row's action is drawn, in row order, from that row's softmax.
+    for (int j = 0; j < 7; ++j) {
+      weights[static_cast<std::size_t>(j)] = step.probs.at(i, j);
+    }
+    const int action = step.actions[static_cast<std::size_t>(i)];
+    EXPECT_EQ(action, static_cast<int>(replay_rng.SampleDiscrete(weights)));
+    EXPECT_NEAR(std::exp(step.logp[static_cast<std::size_t>(i)]),
+                step.probs.at(i, action), 1e-4);
   }
 }
 
