@@ -85,9 +85,14 @@ Tape::Tape() { nodes_.reserve(TapeReserveHint()); }
 Tape::~Tape() {
   std::size_t& hint = TapeReserveHint();
   hint = std::max(hint, nodes_.size());
-  for (TapeNode& node : nodes_) {
-    ScratchArena::Release(std::move(node.value));
-    ScratchArena::Release(std::move(node.grad));
+  // Newest node first.  A PPO minibatch tape holds more buffers than the
+  // pool keeps, and the ones past the cap are freed.  Freeing the oldest
+  // ones leaves the newest, at the top of the heap, pooled and in place;
+  // freeing the newest let glibc trim the heap top after every minibatch
+  // and page it back in on the next (5x the page faults in pretraining).
+  for (auto node = nodes_.rbegin(); node != nodes_.rend(); ++node) {
+    ScratchArena::Release(std::move(node->grad));
+    ScratchArena::Release(std::move(node->value));
   }
 }
 

@@ -240,6 +240,28 @@ TEST(ArenaTest, TapeRetiresAndReusesBuffers) {
   ScratchArena::ClearThreadPool();
 }
 
+// A tape with more buffers than the pool keeps retires its newest nodes'
+// storage and frees the oldest: the newest sit at the top of the heap.
+TEST(ArenaTest, FullPoolKeepsTheNewestNodesBuffers) {
+  ScratchArena::ClearThreadPool();
+  constexpr int kWide = 1000;
+  // Every Constant holds a value and a gradient buffer.  The old nodes
+  // alone would fill the pool; the new ones fill it exactly.
+  constexpr int kNewNodes =
+      static_cast<int>(ScratchArena::kMaxPooledBuffers / 2);
+  {
+    Tape tape;
+    for (int i = 0; i < kNewNodes + 10; ++i) tape.Constant(Matrix(1, 1));
+    for (int i = 0; i < kNewNodes; ++i) tape.Constant(Matrix(1, kWide));
+  }
+  EXPECT_EQ(ScratchArena::PooledBuffers(), ScratchArena::kMaxPooledBuffers);
+  // Best fit hands out the smallest pooled buffer: a 1x1 one if any old node
+  // had been kept.
+  std::vector<float> smallest = ScratchArena::AcquireBuffer(1);
+  EXPECT_GE(smallest.capacity(), static_cast<std::size_t>(kWide));
+  ScratchArena::ClearThreadPool();
+}
+
 // ---- Finite-difference gradient checking ----------------------------------
 
 // Builds a scalar loss from an input parameter through `network`, then
